@@ -36,8 +36,10 @@ python benchmarks/bench_engine.py --check-schema "${TMPDIR:-/tmp}/bench_engine_s
 python benchmarks/bench_engine.py --check-schema benchmarks/BENCH_engine.before.json
 python benchmarks/bench_engine.py --check-schema benchmarks/BENCH_engine.after.json
 
-echo "== kernel-parity: vectorised kernels byte-identical, with and without numpy =="
+echo "== kernel-parity: kernels match their references; demand kernel and engine pins also without numpy =="
 python -m pytest -q tests/test_kernel_parity.py tests/test_engine_regression.py
+# the rerun covers the demand kernel's pure-Python sweep (the only
+# kernel with a numpy path) and the engine regression pins
 REPRO_NO_NUMPY=1 python -m pytest -q tests/test_kernel_parity.py tests/test_engine_regression.py
 python benchmarks/bench_kernels.py --smoke --out "${TMPDIR:-/tmp}/bench_kernels_smoke.json"
 python benchmarks/bench_kernels.py --check-schema "${TMPDIR:-/tmp}/bench_kernels_smoke.json"
@@ -73,6 +75,9 @@ python scripts/chaos_smoke.py
 
 echo "== serve-smoke: daemon byte-equivalent to solve_iter, warm cache hits, shard merge canonical =="
 python scripts/serve_smoke.py
+
+echo "== perfbench: benchmark self-tests (traced-run wrappers find every hooked entry point) =="
+python -m pytest -q perfbench/tests
 
 echo "== tier-1: full test suite =="
 python -m pytest -x -q

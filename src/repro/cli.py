@@ -108,8 +108,6 @@ def _cmd_solvers(args: argparse.Namespace) -> int:
     if args.json:
         # service clients discover what a server can run from this
         # payload; keep additions additive (consumers pin fields)
-        from repro.kernels import kernel_availability
-
         payload = {
             "solvers": [
                 {
@@ -126,7 +124,6 @@ def _cmd_solvers(args: argparse.Namespace) -> int:
                 }
                 for info in infos
             ],
-            "kernels": kernel_availability(),
         }
         print(json.dumps(payload, indent=2))
         return 0

@@ -36,14 +36,11 @@ from dataclasses import dataclass, field
 
 from repro.csp.core import Variable
 from repro.csp.state import DomainState
-from repro.kernels import numpy_or_none
 
 __all__ = [
     "SearchContext",
     "var_order_input",
-    "var_order_input_vec",
     "var_order_min_domain",
-    "var_order_min_domain_vec",
     "var_order_dom_deg",
     "var_order_dom_wdeg",
     "var_order_random",
@@ -94,24 +91,6 @@ def var_order_input(state: DomainState, ctx: SearchContext) -> Variable | None:
         if m & (m - 1):
             return variables[idx]
     return None
-
-
-def var_order_input_vec(state: DomainState, ctx: SearchContext) -> Variable | None:
-    """Vectorised :func:`var_order_input` over the int64 shadow masks.
-
-    Picks the same variable (first non-singleton in creation order) via
-    one ``mask & (mask - 1)`` sweep of :attr:`DomainState.shadow`;
-    falls back to the scalar scan when no shadow is attached or a
-    caller moved the scan hint (the vector pass ignores hints).
-    """
-    shadow = state.shadow
-    if shadow is None or ctx.first_unassigned_hint:
-        return var_order_input(state, ctx)
-    open_ = (shadow & (shadow - 1)) != 0
-    idx = int(open_.argmax())
-    if not open_[idx]:
-        return None
-    return state.model.variables[idx]
 
 
 def var_order_min_domain(state: DomainState, ctx: SearchContext) -> Variable | None:
@@ -169,29 +148,6 @@ def var_order_min_domain(state: DomainState, ctx: SearchContext) -> Variable | N
     if len(ties) > 1:
         return variables[rng.choice(ties)]
     return variables[ties[0]]
-
-
-def var_order_min_domain_vec(state: DomainState, ctx: SearchContext) -> Variable | None:
-    """Vectorised deterministic :func:`var_order_min_domain`.
-
-    One ``np.bitwise_count`` + masked argmin over the shadow array
-    picks the same (first-index) smallest open domain.  The randomized
-    tie-breaking path must enumerate every tie through the seeded rng,
-    so it always defers to the scalar implementation — as do runs with
-    no shadow attached or a numpy build without ``bitwise_count``.
-    """
-    shadow = state.shadow
-    if shadow is None or ctx.rng is not None:
-        return var_order_min_domain(state, ctx)
-    np = numpy_or_none()
-    if np is None or not hasattr(np, "bitwise_count"):
-        return var_order_min_domain(state, ctx)
-    sizes = np.bitwise_count(shadow).astype(np.int64)
-    sizes = np.where(sizes > 1, sizes, np.int64(1 << 30))
-    idx = int(sizes.argmin())
-    if sizes[idx] >= 1 << 30:
-        return None
-    return state.model.variables[idx]
 
 
 def var_order_dom_deg(state: DomainState, ctx: SearchContext) -> Variable | None:

@@ -63,9 +63,7 @@ from repro.csp.heuristics import (
     make_value_order_phase_saving,
     value_order_ascending,
     var_order_input,
-    var_order_input_vec,
     var_order_min_domain,
-    var_order_min_domain_vec,
 )
 from repro.csp.learning import (
     NogoodStore,
@@ -75,7 +73,6 @@ from repro.csp.learning import (
 )
 from repro.csp.propagators import PROP_ENTAILED
 from repro.csp.state import CAUSE_DECISION, EVT_ANY, EVT_ASSIGN, DomainState
-from repro.kernels import numpy_or_none
 from repro.kernels.fixpoint import CountingKernel
 from repro.util.timer import Deadline
 
@@ -216,17 +213,12 @@ class Solver:
         Wrap the value order so each variable retries the value it last
         held first (adaptive value ordering; most useful with learning
         or restarts).
-    vectorize:
-        ``None`` (auto, the default) batches the counting propagators'
-        tier-0 rows through :class:`repro.kernels.fixpoint.
-        CountingKernel` and, when numpy is available, mirrors the
-        domains in an int64 shadow array that vectorises the stock
-        input/min-domain variable orders.  ``False`` forces the legacy
-        per-propagator path; ``True`` insists on the kernels (still
-        falling back to the scalar reset sweep if numpy is masked).
-        Search decisions are byte-identical either way (pinned by
-        ``tests/test_engine_regression.py``); the learning engine
-        always runs unbatched — nogood bookkeeping is order-sensitive.
+
+    The chronological search batches the counting propagators' tier-0
+    rows through :class:`repro.kernels.fixpoint.CountingKernel`; the
+    learning search keeps them on the per-propagator path, because
+    nogood bookkeeping is order-sensitive.  Search decisions are the
+    same either way (pinned by ``tests/test_engine_regression.py``).
     """
 
     def __init__(
@@ -239,12 +231,10 @@ class Solver:
         learn: bool = False,
         nogood_limit: int = 10_000,
         phase_saving: bool = False,
-        vectorize: bool | None = None,
     ) -> None:
         self.model = model
         self.var_order = var_order or var_order_min_domain
         self.value_order = value_order or value_order_ascending
-        self.vectorize = vectorize
         if restart_nodes is not None and restart_nodes < 1:
             raise ValueError(f"restart_nodes must be >= 1, got {restart_nodes}")
         self.restart_nodes = restart_nodes
@@ -274,11 +264,11 @@ class Solver:
         raw: list[list[tuple]] = [[] for _ in model.variables]
         self._tiers: list[int] = []
         # Counting rows move out of the watcher lists into the batched
-        # kernel (vectorize=None/True, non-learning): their per-event
-        # bookkeeping runs inline in _fixpoint instead of through
-        # on_event calls.  Only tier-0 rows qualify — the inline tables
-        # enqueue straight onto q0.
-        batching = self.learn is False and vectorize is not False
+        # kernel (non-learning search only): their per-event bookkeeping
+        # runs inline in _fixpoint instead of through on_event calls.
+        # Only tier-0 rows qualify — the inline tables enqueue straight
+        # onto q0.
+        batching = not self.learn
         batched_props: list[tuple[int, object]] = []
         self._batched = [False] * len(self._props)
         for pid, prop in enumerate(self._props):
@@ -316,21 +306,13 @@ class Solver:
             else [0] * len(model.variables)
         )
         self._prop_fns = [p.propagate for p in self._props]
-        if batching and self.var_order is var_order_min_domain:
-            self.var_order = var_order_min_domain_vec
-        #: input order keeps a per-descent scan hint instead of a numpy
-        #: sweep: with chronological branching the first-open index only
-        #: moves forward within a descent and pop_level's mask restore
-        #: re-opens exactly the branch variable, so the search can set
+        #: input order keeps a per-descent scan hint: with chronological
+        #: branching the first-open index only moves forward within a
+        #: descent and pop_level's mask restore re-opens exactly the
+        #: branch variable, so the search can set
         #: ``ctx.first_unassigned_hint`` to the branch index + 1 before
-        #: each selection — O(1) amortized, no shadow writes needed
+        #: each selection — O(1) amortized
         self._hint_input = self.var_order is var_order_input
-        #: attach the numpy shadow mirror only when a vectorised var
-        #: order will actually read it (the deterministic min-domain
-        #: sweep; the randomized tie-break path defers to scalar)
-        self._use_shadow = (
-            self.var_order is var_order_min_domain_vec and self.ctx.rng is None
-        ) or self.var_order is var_order_input_vec
         self._watchers: list[tuple] = [
             tuple(
                 tuple(
@@ -378,9 +360,8 @@ class Solver:
         """Fresh run: reactivate everything, rebuild owned counters.
 
         Batched counting rows are excluded from the per-propagator
-        resets: the kernel recomputes all their aggregates in one pass
-        over the stacked row matrix (and re-points each ``_c`` at the
-        kernel-owned list)."""
+        resets: the kernel recomputes all their aggregates in one sweep
+        (and re-points each ``_c`` at the kernel-owned list)."""
         active = self._active
         for pid in range(len(active)):
             active[pid] = True
@@ -452,7 +433,6 @@ class Solver:
             ktab=self._ktab,
             kmask=self._kmask,
             undo=state._undo,
-            shadow=state.shadow,
             reset_queue=self._reset_queue,
             # an unlimited deadline can never expire: skip its poll counter
             timed=deadline is not None and deadline._end is not None,
@@ -468,8 +448,6 @@ class Solver:
                     while i < n:
                         idx, old, new, event_mask = events[i]
                         i += 1
-                        if shadow is not None:
-                            shadow[idx] = new
                         for pid, handler, relevance, dedup in watchers[idx][event_mask]:
                             if not active[pid]:
                                 continue
@@ -682,10 +660,6 @@ class Solver:
         self.stats = SearchStats()
         stats = self.stats
         state = DomainState(self.model)
-        if self._use_shadow:
-            np = numpy_or_none()
-            if np is not None:
-                state.attach_shadow(np)
         self._reset_propagators(state)
         self._deadline = deadline = Deadline(time_limit)
         solutions: list[dict[Variable, int]] = []

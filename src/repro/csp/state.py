@@ -94,14 +94,10 @@ class DomainState:
         "causes",
         "cause",
         "dispatched",
-        "shadow",
         "_undo",
         "_levels",
         "_stamp",
     )
-
-    #: domain bitmasks must stay below this for the int64 shadow mirror
-    SHADOW_MASK_LIMIT = 1 << 62
 
     def __init__(self, model: Model, record_causes: bool = False) -> None:
         self.model = model
@@ -121,12 +117,6 @@ class DomainState:
         #: cursor into :attr:`events`: entries below it have been handed
         #: to the engine already (clamped by :meth:`pop_level`)
         self.dispatched = 0
-        #: optional int64 numpy mirror of :attr:`masks` for vectorised
-        #: heuristics; ``None`` until :meth:`attach_shadow`.  The engine
-        #: updates it while dispatching events (every mutation records
-        #: exactly one event) and :meth:`pop_level` restores it from the
-        #: event log, so it is current whenever the log is drained.
-        self.shadow = None
         #: generic undo log of ``(container, key, old_value)`` records
         #: for propagator-owned state (key ``None`` = whole-list snapshot).
         #: Domain masks have no separate trail: every mutation records
@@ -303,21 +293,6 @@ class DomainState:
         record's key is ``None`` and the undo replays a slice assign."""
         self._undo.append((container, None, tuple(container)))
 
-    def attach_shadow(self, np_module) -> bool:
-        """Mirror the domain masks in an int64 numpy array.
-
-        Refused (returns False, :attr:`shadow` stays None) when any
-        current mask would overflow the sign-safe int64 range — domains
-        here are tiny, but the guard keeps arbitrary models sound.
-        """
-        limit = self.SHADOW_MASK_LIMIT
-        for m in self.masks:
-            if m >= limit:
-                self.shadow = None
-                return False
-        self.shadow = np_module.array(self.masks, dtype=np_module.int64)
-        return True
-
     # -- trail ---------------------------------------------------------------
     @property
     def level(self) -> int:
@@ -340,18 +315,12 @@ class DomainState:
             raise RuntimeError("pop_level without matching push_level")
         undo_mark, event_mark = self._levels.pop()
         masks = self.masks
-        shadow = self.shadow
         events = self.events
         if len(events) > event_mark:
             # LIFO replay leaves the oldest (correct) mask in place,
             # including for mutations whose events were never dispatched
-            if shadow is None:
-                for idx, old, _new, _ev in reversed(events[event_mark:]):
-                    masks[idx] = old
-            else:
-                for idx, old, _new, _ev in reversed(events[event_mark:]):
-                    masks[idx] = old
-                    shadow[idx] = old
+            for idx, old, _new, _ev in reversed(events[event_mark:]):
+                masks[idx] = old
             del events[event_mark:]
         undo = self._undo
         if len(undo) > undo_mark:
@@ -377,8 +346,8 @@ class DomainState:
         loop only: the unmatched-pop guard is dropped (an unmatched pop
         raises ``IndexError`` from the list instead of ``RuntimeError``).
 
-        Bindings snapshot :attr:`shadow` and :attr:`causes`, so call
-        this *after* :meth:`attach_shadow` / trail attachment."""
+        Bindings snapshot :attr:`causes`, so the list must not be
+        replaced afterwards."""
         state = self
         levels = self._levels
 
@@ -396,19 +365,13 @@ class DomainState:
             masks=self.masks,
             events=self.events,
             undo=self._undo,
-            shadow=self.shadow,
             causes=self.causes,
             state=state,
         ) -> None:
             undo_mark, event_mark = take()
             if len(events) > event_mark:
-                if shadow is None:
-                    for idx, old, _new, _ev in reversed(events[event_mark:]):
-                        masks[idx] = old
-                else:
-                    for idx, old, _new, _ev in reversed(events[event_mark:]):
-                        masks[idx] = old
-                        shadow[idx] = old
+                for idx, old, _new, _ev in reversed(events[event_mark:]):
+                    masks[idx] = old
                 del events[event_mark:]
             if len(undo) > undo_mark:
                 for container, key, old in reversed(undo[undo_mark:]):

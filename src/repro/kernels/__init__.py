@@ -1,36 +1,36 @@
-"""Vectorised hot-path kernels (numpy optional; scalar fallbacks built in).
+"""Hot-path kernels: the counting fixpoint, the simulator, demand tables.
 
 This package is a *leaf*: it imports nothing from :mod:`repro.csp`,
 :mod:`repro.baselines` or :mod:`repro.analysis`, so any layer can call
-into it without cycles.  Every kernel has two implementations with
-byte-identical outputs:
+into it without cycles.
 
-* a **numpy path**, used when numpy is importable and not masked;
-* a **pure-Python path**, used when numpy is missing — or when the
-  environment variable ``REPRO_NO_NUMPY`` is set, which is how CI pins
-  the fallback against rot (see the ``kernel-parity`` stage).
+* :mod:`repro.kernels.fixpoint` — the batched counting rows the search
+  engine updates inline; pure Python, because a numpy call costs
+  microseconds of dispatch overhead on a per-event hot path.
+* :mod:`repro.kernels.simulate` — the block-stepping priority
+  simulator; pure Python, because its speed comes from stepping whole
+  blocks of slots, not from the history buffer it fills.
+* :mod:`repro.kernels.demand` — the interval-load demand tables.  This
+  is the one kernel with two implementations: a numpy path over the
+  whole ``T x T`` table and a pure-Python rolling sweep with
+  byte-identical results.  The numpy path wins on the screening
+  campaigns, so it is the default; the environment variable
+  ``REPRO_NO_NUMPY`` forces the sweep, which is how CI pins it against
+  rot (see the ``kernel-parity`` stage).
 
-The split is deliberate about *where* numpy pays for itself: a numpy
-call costs microseconds of dispatch overhead, so the per-event search
-hot path (:mod:`repro.kernels.fixpoint`) batches counting rows with
-plain-Python inline tables and reserves numpy for the whole-matrix
-reset pass; the simulators and demand tables
-(:mod:`repro.kernels.simulate`, :mod:`repro.kernels.demand`) operate on
-thousands of slots per call, where vectorisation wins outright.
-
-Gate helpers:
+numpy itself is a required dependency of the package (the model,
+schedule and encoding layers use it); only the demand kernel consults
+the gate helpers below.
 
 * :func:`numpy_or_none` — the single numpy access point for kernels;
-* :func:`have_numpy` — boolean convenience;
-* :func:`kernel_availability` — the dict ``repro-mgrts solvers --json``
-  reports, so clients can see which kernels a deployment runs.
+* :func:`have_numpy` — boolean convenience.
 """
 
 from __future__ import annotations
 
 import os
 
-__all__ = ["numpy_or_none", "have_numpy", "kernel_availability"]
+__all__ = ["numpy_or_none", "have_numpy"]
 
 _cached = None
 _probed = False
@@ -60,22 +60,3 @@ def numpy_or_none():
 def have_numpy() -> bool:
     """True iff the numpy-backed kernel paths are currently usable."""
     return numpy_or_none() is not None
-
-
-def kernel_availability() -> dict:
-    """Which kernel implementations this process would run.
-
-    ``batched_fixpoint`` is pure Python by design (per-event numpy calls
-    cost more than they save), so it is always available; the other
-    entries report whether the numpy path or the scalar fallback is
-    active.  Reported by ``repro-mgrts solvers --json``.
-    """
-    np = numpy_or_none()
-    return {
-        "numpy": np is not None,
-        "numpy_version": getattr(np, "__version__", None),
-        "batched_fixpoint": True,
-        "vectorized_var_orders": np is not None,
-        "simulator_blocks": np is not None,
-        "demand_table": np is not None,
-    }

@@ -7,14 +7,12 @@ event wakes, and each wake costs a Python method call just to bump two
 or three counters and check a bound.  This module stacks *all* their
 rows into one shared store the engine consults inline:
 
-* **Row matrix.**  Every row is a set of ``(var_index, value_bit,
+* **Rows.**  Every row is a set of ``(var_index, value_bit,
   coefficient)`` cells plus a target ``total`` (and ``cmax`` for the
-  weighted rows) — exported by each propagator's ``batch_row()``.  The
-  whole system of rows is one sparse ``(rows x vars)`` masked matrix.
+  weighted rows) — exported by each propagator's ``batch_row()``.
 * **Reset pass.**  :meth:`CountingKernel.reset` evaluates every row's
-  aggregates from the current domain masks in a single vectorised
-  sweep over the matrix (pure-Python fallback when numpy is masked)
-  and re-points each propagator's ``_c`` at the kernel-owned list, so
+  aggregates from the current domain masks in one scalar sweep and
+  re-points each propagator's ``_c`` at the kernel-owned list, so
   ``propagate`` reads the shared aggregates with no synchronisation.
 * **Inline update tables.**  :attr:`CountingKernel.table` maps each
   variable to the tuple of row entries its events touch.  The engine's
@@ -24,10 +22,8 @@ rows into one shared store the engine consults inline:
   so per-node search decisions are byte-identical (pinned by
   ``tests/test_engine_regression.py``).
 
-Per-event numpy calls are deliberately absent: one numpy dispatch costs
-more than an entire node's Python bookkeeping at these row sizes, so
-numpy is reserved for the reset sweep (and the parity cross-check),
-where one call covers the whole matrix.
+The kernel is pure Python: one numpy dispatch costs more than an
+entire node's Python bookkeeping at these row sizes.
 
 Trail safety: aggregate lists are snapshotted once per node onto the
 engine's undo log before the first inline update (the same
@@ -38,12 +34,7 @@ keeping their aggregates frozen exactly like the scalar engine.
 
 from __future__ import annotations
 
-from repro.kernels import numpy_or_none
-
-__all__ = ["CountingKernel", "SHADOW_MASK_LIMIT"]
-
-#: domain bitmasks must stay below this for int64 shadow/matrix gathers
-SHADOW_MASK_LIMIT = 1 << 62
+__all__ = ["CountingKernel"]
 
 #: the TRUE bit of 2-value boolean domains (bool rows count this value)
 _TRUE = 0b10
@@ -79,11 +70,6 @@ class CountingKernel:
 
     def __init__(self, rows: list[_Row], n_vars: int) -> None:
         self.rows = rows
-        self._matrix_cache = None  # lazy numpy CSR-ish arrays
-        # int64 gathers are only sound while every touched mask fits
-        self._np_ok = all(
-            cell[1] < SHADOW_MASK_LIMIT for row in rows for cell in row.cells
-        )
         tables: list[dict[int, list]] = [{} for _ in range(n_vars)]
         for row in rows:
             # merge duplicate occurrences per variable (CountEq may watch a
@@ -135,79 +121,23 @@ class CountingKernel:
         return cls(rows, n_vars)
 
     # -- the single-pass reset sweep ----------------------------------------
-    def _matrix(self, np):
-        """The stacked row matrix as flat parallel arrays (built once)."""
-        if self._matrix_cache is None:
-            cv, cb, cc, cr = [], [], [], []
-            for r, row in enumerate(self.rows):
-                for vi, bit, coef in row.cells:
-                    cv.append(vi)
-                    cb.append(bit)
-                    cc.append(coef)
-                    cr.append(r)
-            self._matrix_cache = (
-                np.array(cv, dtype=np.int64),
-                np.array(cb, dtype=np.int64),
-                np.array(cc, dtype=np.int64),
-                np.array(cr, dtype=np.int64),
-            )
-        return self._matrix_cache
-
     def reset(self, state) -> None:
         """Recompute every row's aggregates from the current domains.
 
-        One vectorised pass over the stacked matrix when numpy is
-        available (and every mask fits int64), else the scalar sweep;
-        both write the same values.  Each propagator's ``_c`` is
-        re-pointed at the kernel-owned list so ``propagate`` and the
-        inline tables observe the same aggregates with no copying.
+        Each propagator's ``_c`` is re-pointed at the kernel-owned list
+        so ``propagate`` and the inline tables observe the same
+        aggregates with no copying.
         """
-        np = numpy_or_none()
-        if np is not None and self._np_ok:
-            self._reset_numpy(state, np)
-        else:
-            aggregates = self.evaluate(state)
-            for row, agg in zip(self.rows, aggregates):
-                row.c[:] = agg
-        for row in self.rows:
+        for row, agg in zip(self.rows, self.evaluate(state)):
+            row.c[:] = agg
             row.st[0] = -1
             row.prop._c = row.c
 
-    def _reset_numpy(self, state, np) -> None:
-        cv, cb, cc, cr = self._matrix(np)
-        shadow = getattr(state, "shadow", None)
-        if shadow is not None:
-            v = shadow[cv]
-        else:
-            masks = state.masks
-            v = np.fromiter(
-                (masks[i] for i in cv.tolist()), dtype=np.int64, count=len(cv)
-            )
-        influences = (v & cb) != 0
-        fixed = influences & (v == cb)
-        cand = influences & ~fixed
-        zeros = np.zeros(len(cc), dtype=np.int64)
-        fix_w = np.where(fixed, cc, zeros)
-        cand_w = np.where(cand, cc, zeros)
-        n_rows = len(self.rows)
-        agg_fix = np.zeros(n_rows, dtype=np.int64)
-        agg_cw = np.zeros(n_rows, dtype=np.int64)
-        agg_cn = np.zeros(n_rows, dtype=np.int64)
-        np.add.at(agg_fix, cr, fix_w)
-        np.add.at(agg_cw, cr, cand_w)
-        np.add.at(agg_cn, cr, cand.astype(np.int64))
-        for r, row in enumerate(self.rows):
-            if row.slots == 2:
-                row.c[:] = (int(agg_fix[r]), int(agg_cw[r]))
-            else:
-                row.c[:] = (int(agg_fix[r]), int(agg_cw[r]), int(agg_cn[r]))
-
     def evaluate(self, state) -> list[list[int]]:
-        """Every row's aggregates, computed fresh by the scalar sweep.
+        """Every row's aggregates, computed fresh from the domain masks.
 
-        The reference implementation the numpy reset pass is
-        parity-tested against; also usable by tests to cross-check the
-        incrementally-maintained aggregates mid-search.
+        :meth:`reset` writes these; tests use it to cross-check the
+        aggregates the engine maintains inline mid-search.
         """
         out = []
         masks = state.masks

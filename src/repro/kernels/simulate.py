@@ -14,9 +14,8 @@ and hyperperiod-aligned state snapshot is **byte-identical** to the
 slot-by-slot loop — only faster, by roughly the mean block length
 (wcet-sized stretches instead of single slots).
 
-The history matrix is numpy when available (block fills are single
-sliced assignments) and a plain list-of-rows otherwise — same contents
-either way, so :class:`~repro.schedule.schedule.Schedule` accepts both.
+The history matrix is a plain list of rows, which
+:class:`~repro.schedule.schedule.Schedule` accepts as is.
 
 Only *static* priority keys are supported — keys that depend on the
 job's release data, not on elapsed execution:
@@ -37,8 +36,6 @@ from __future__ import annotations
 from bisect import insort
 from collections.abc import Sequence
 
-from repro.kernels import numpy_or_none
-
 __all__ = ["simulate_static", "STATIC_EDF", "STATIC_RANK"]
 
 #: static-key names accepted by :func:`simulate_static`
@@ -46,27 +43,14 @@ STATIC_EDF = "edf"
 STATIC_RANK = "rank"
 
 
-def _new_history(m: int, T: int, idle: int):
-    """An ``m x T`` history buffer: numpy when available, else lists."""
-    np = numpy_or_none()
-    if np is not None:
-        return np.full((m, T), idle, dtype=np.int32)
-    return [[idle] * T for _ in range(m)]
-
-
-def _fill_block(history, running: list[int], m: int, col: int, width: int,
-                idle: int) -> None:
+def _fill_block(history: list[list[int]], running: list[int], col: int,
+                width: int, idle: int) -> None:
     """Write one constant block: ``running[k]`` on row ``k``, idle below."""
-    if type(history) is list:
-        end = col + width
-        for row, task in zip(history, running):
-            row[col:end] = [task] * width
-        for row in history[len(running):]:
-            row[col:end] = [idle] * width
-    else:
-        history[:, col:col + width] = idle
-        for slot, task in enumerate(running):
-            history[slot, col:col + width] = task
+    end = col + width
+    for row, task in zip(history, running):
+        row[col:end] = [task] * width
+    for row in history[len(running):]:
+        row[col:end] = [idle] * width
 
 
 def simulate_static(
@@ -107,7 +91,7 @@ def simulate_static(
     remaining = [0] * n  # 0 = no active job
     next_release = list(offsets)
 
-    history = _new_history(m, T, idle)
+    history = [[idle] * T for _ in range(m)]
     prev_state: tuple | None = None
     #: the standing priority queue of active jobs, sorted by static key
     #: — maintained incrementally (insort on release, filter on
@@ -175,7 +159,7 @@ def simulate_static(
                 r = remaining[i]
                 if r < delta:
                     delta = r
-            _fill_block(history, running, m, t % T, delta, idle)
+            _fill_block(history, running, t % T, delta, idle)
             completed = False
             for i in running:
                 left = remaining[i] - delta
@@ -186,7 +170,7 @@ def simulate_static(
             if completed:
                 queue = [e for e in queue if remaining[e[1]]]
                 if not queue and t < window_end:
-                    _fill_block(history, [], m, t % T, window_end - t, idle)
+                    _fill_block(history, [], t % T, window_end - t, idle)
                     t = window_end
 
         # miss check: remaining work at (or past) the absolute deadline.

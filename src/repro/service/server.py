@@ -29,6 +29,10 @@ Request lifecycle:
    reopen) *before* its response line is written, so a daemon killed
    mid-reply never loses a solved result.
 
+A request line longer than :data:`LINE_LIMIT` bytes is discarded
+unparsed and answered with one ``bad-request`` error; the connection
+stays open for the next line.
+
 ``stats`` requests are answered inline from the counters; ``shutdown``
 (when enabled) acknowledges, drains in-flight solves, then stops the
 server.  Responses carry the request's ``id`` and interleave in
@@ -65,7 +69,34 @@ from repro.service.protocol import (
 from repro.solvers.problem import Problem, fault_report, solve_problem
 from repro.solvers.registry import available_solvers
 
-__all__ = ["ServiceConfig", "SolverService", "ServiceHandle"]
+__all__ = ["ServiceConfig", "SolverService", "ServiceHandle", "LINE_LIMIT"]
+
+#: longest request line (bytes, newline excluded) the server will parse;
+#: the stream buffer limit of every connection, TCP and stdio alike
+LINE_LIMIT = 1 << 16
+
+
+async def _read_request_line(reader) -> tuple[bytes, bool]:
+    """The next request line and whether it overran :data:`LINE_LIMIT`.
+
+    Returns ``(b"", False)`` at EOF, and a final line without its
+    newline as :meth:`asyncio.StreamReader.readline` would.  An
+    over-limit line is consumed through its newline (or EOF) and comes
+    back as ``(b"", True)``, so the caller answers it exactly once.
+    """
+    overrun = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.LimitOverrunError as exc:
+            # drop the buffered prefix; the next readuntil resumes the
+            # same line (or ends it, when the newline was already seen)
+            await reader.readexactly(exc.consumed)
+            overrun = True
+            continue
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial  # EOF: the unterminated tail, maybe empty
+        return (b"", True) if overrun else (line, False)
 
 
 def _solve_request_worker(payload, attempt: int):
@@ -351,7 +382,17 @@ class SolverService:
                 ),
             )
             while not self._stop.is_set():
-                raw = await reader.readline()
+                raw, overrun = await _read_request_line(reader)
+                if overrun:
+                    self._bump("errors")
+                    await self._send(
+                        writer, wlock,
+                        error_line(
+                            None, ERR_BAD_REQUEST,
+                            f"request line longer than {LINE_LIMIT} bytes",
+                        ),
+                    )
+                    continue
                 if not raw:
                     break  # EOF: client finished sending
                 line = raw.strip()
@@ -447,7 +488,9 @@ class SolverService:
             finally:
                 self._conn_tasks.pop(id(task), None)
 
-        server = await asyncio.start_server(handler, host=host, port=port)
+        server = await asyncio.start_server(
+            handler, host=host, port=port, limit=LINE_LIMIT
+        )
         try:
             addr = server.sockets[0].getsockname()
             if ready is not None:
@@ -466,7 +509,7 @@ class SolverService:
         self._bind_loop()
         self._open_journal()
         loop = self._loop
-        reader = asyncio.StreamReader()
+        reader = asyncio.StreamReader(limit=LINE_LIMIT)
         await loop.connect_read_pipe(
             lambda: asyncio.StreamReaderProtocol(reader), sys.stdin
         )

@@ -12,32 +12,16 @@ its surface since PR 2, so migration is attribute-compatible.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.model.platform import Platform
 from repro.model.system import TaskSystem
-from repro.model.transform import CloneMap
-from repro.schedule.schedule import IDLE, Schedule
-from repro.solvers.problem import Problem, SolveReport, solve_problem
+from repro.solvers.problem import (
+    Problem,
+    SolveReport,
+    merge_clone_schedule,
+    solve_problem,
+)
 
 __all__ = ["solve", "merge_clone_schedule"]
-
-
-def merge_clone_schedule(schedule: Schedule, clone_map: CloneMap) -> Schedule:
-    """Relabel a cloned system's schedule with original task indices.
-
-    The result is an **unvalidated display schedule** over the original
-    (possibly arbitrary-deadline) system: two clones of one task may
-    legitimately run in parallel, which the C1-C4 validator would reject,
-    so never pass the returned schedule to
-    :func:`repro.schedule.validate.validate` — validation happens on the
-    cloned schedule, before merging.
-    """
-    original = clone_map.original
-    table = np.full(schedule.table.shape, IDLE, dtype=np.int32)
-    for c, origin in enumerate(clone_map.origin_of):
-        table[schedule.table == c] = origin
-    return Schedule(original, schedule.platform, table)
 
 
 def solve(

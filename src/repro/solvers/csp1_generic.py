@@ -68,11 +68,6 @@ class Csp1GenericSolver:
         and phase saving (``var_heuristic`` is ignored).
     nogood_limit:
         Learned-nogood store capacity (learning only).
-    vectorize:
-        Forwarded to the engine: None (auto) batches the counting
-        propagators and shadows domains when numpy is available, False
-        forces the legacy path, True insists on the kernels.  Search
-        decisions are byte-identical either way.
     """
 
     name = "csp1"
@@ -85,7 +80,6 @@ class Csp1GenericSolver:
         seed: int | None = None,
         learn: bool = False,
         nogood_limit: int = 10_000,
-        vectorize: bool | None = None,
     ) -> None:
         if var_heuristic not in _VAR_ORDERS:
             raise ValueError(
@@ -98,7 +92,6 @@ class Csp1GenericSolver:
         self.seed = seed
         self.learn = bool(learn)
         self.nogood_limit = nogood_limit
-        self.vectorize = vectorize
         if self.learn:
             self.name = "csp1+learn"
         self.encoding = encode_csp1(system, platform)
@@ -123,7 +116,6 @@ class Csp1GenericSolver:
                 var_order=_VAR_ORDERS[self.var_heuristic],
                 value_order=value_order_ascending,
                 seed=self.seed,
-                vectorize=self.vectorize,
             )
         out = engine.solve(time_limit=time_limit, node_limit=node_limit)
         extra = {"variables": self.encoding.n_variables}
@@ -169,13 +161,13 @@ class Csp1GenericSolver:
         "nogood learning, backjumping, dom/wdeg + last-conflict ordering, "
         "phase saving — the infeasibility prover of the family",
     },
-    options=("nogood_limit", "vectorize"),
+    options=("nogood_limit",),
     platforms=("identical", "uniform", "heterogeneous"),
     memory_bound=True,
-    hidden_suffixes=("min_dom", "vec"),
+    hidden_suffixes=("min_dom",),
 )
 def _build_csp1(system, platform, spec, seed, **options):
-    """Registry factory: ``csp1[+var_heuristic|+learn|+vec]``."""
+    """Registry factory: ``csp1[+var_heuristic|+learn]``."""
     if spec.suffix == "learn":
         return Csp1GenericSolver(system, platform, seed=seed, learn=True, **options)
     if "nogood_limit" in options:
@@ -183,9 +175,6 @@ def _build_csp1(system, platform, spec, seed, **options):
             "nogood_limit only applies to the learning variant; "
             f"use '{spec.base}+learn'"
         )
-    if spec.suffix == "vec":  # insist on the vectorised kernels
-        options.setdefault("vectorize", True)
-        return Csp1GenericSolver(system, platform, seed=seed, **options)
     return Csp1GenericSolver(
         system, platform, var_heuristic=spec.suffix or "min_dom", seed=seed,
         **options,

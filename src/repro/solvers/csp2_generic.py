@@ -66,11 +66,6 @@ class Csp2GenericSolver:
         order, and phase-saved values.
     nogood_limit:
         Learned-nogood store capacity (learning only).
-    vectorize:
-        Forwarded to the engine: None (auto) batches the counting
-        propagators and shadows domains when numpy is available, False
-        forces the legacy per-propagator path, True insists on the
-        kernels.  Search decisions are byte-identical either way.
     """
 
     def __init__(
@@ -82,7 +77,6 @@ class Csp2GenericSolver:
         chronological: bool = True,
         learn: bool = False,
         nogood_limit: int = 10_000,
-        vectorize: bool | None = None,
     ) -> None:
         self.system = system
         self.platform = platform
@@ -91,7 +85,6 @@ class Csp2GenericSolver:
         self.chronological = chronological
         self.learn = bool(learn)
         self.nogood_limit = nogood_limit
-        self.vectorize = vectorize
         order = task_order(system, heuristic)
         order.append(self.encoding.idle_value)  # idle last
         self._value_order = value_order_custom(order)
@@ -120,7 +113,6 @@ class Csp2GenericSolver:
                 self.encoding.model,
                 var_order=base_order,
                 value_order=self._value_order,
-                vectorize=self.vectorize,
             )
         out = engine.solve(time_limit=time_limit, node_limit=node_limit)
         extra = {"variables": self.encoding.n_variables}
@@ -165,13 +157,13 @@ class Csp2GenericSolver:
         "learn": "Encoding #2 on the conflict-directed engine (task-index "
         "value order); see csp2+learn for the (D-C)-ordered variant",
     },
-    options=("symmetry_breaking", "chronological", "nogood_limit", "vectorize"),
+    options=("symmetry_breaking", "chronological", "nogood_limit"),
     platforms=("identical", "uniform", "heterogeneous"),
     memory_bound=True,
-    hidden_suffixes=("t-c", "(t-c)", "d-c", "(d-c)", "none", "vec"),
+    hidden_suffixes=("t-c", "(t-c)", "d-c", "(d-c)", "none"),
 )
 def _build_csp2_generic(system, platform, spec, seed, **options):
-    """Registry factory: ``csp2-generic[+heuristic|+learn|+vec]``."""
+    """Registry factory: ``csp2-generic[+heuristic|+learn]``."""
     from repro.solvers.ordering import heuristic_key
 
     if spec.suffix == "learn":
@@ -181,9 +173,6 @@ def _build_csp2_generic(system, platform, spec, seed, **options):
             "nogood_limit only applies to the learning variant; "
             f"use '{spec.base}+learn'"
         )
-    if spec.suffix == "vec":  # insist on the vectorised kernels
-        options.setdefault("vectorize", True)
-        return Csp2GenericSolver(system, platform, **options)
     if spec.suffix:
         heuristic_key(spec.suffix)  # validates / raises
     return Csp2GenericSolver(system, platform, heuristic=spec.suffix, **options)

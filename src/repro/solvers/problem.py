@@ -30,6 +30,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from typing import Any
 
+import numpy as np
+
 from repro.model.platform import Platform
 from repro.model.system import TaskSystem
 from repro.model.transform import CloneMap, clone_for_arbitrary_deadlines
@@ -39,7 +41,7 @@ from repro.schedule.io import (
     system_from_dict,
     system_to_dict,
 )
-from repro.schedule.schedule import Schedule
+from repro.schedule.schedule import IDLE, Schedule
 from repro.schedule.validate import validate
 from repro.solvers.base import Feasibility, SolveResult, SolverStats
 from repro.solvers.registry import create_solver, solver_info
@@ -50,6 +52,7 @@ __all__ = [
     "SolveReport",
     "solve_problem",
     "solve_iter",
+    "merge_clone_schedule",
     "estimate_generic_variables",
     "FAULT_PREFIX",
     "fault_label",
@@ -165,10 +168,21 @@ class Problem:
         )
 
 
-def _merge_clone_schedule(schedule: Schedule, clone_map: CloneMap) -> Schedule:
-    from repro.solvers.api import merge_clone_schedule
+def merge_clone_schedule(schedule: Schedule, clone_map: CloneMap) -> Schedule:
+    """Relabel a cloned system's schedule with original task indices.
 
-    return merge_clone_schedule(schedule, clone_map)
+    The result is an **unvalidated display schedule** over the original
+    (possibly arbitrary-deadline) system: two clones of one task may
+    legitimately run in parallel, which the C1-C4 validator would reject,
+    so never pass the returned schedule to
+    :func:`repro.schedule.validate.validate` — validation happens on the
+    cloned schedule, before merging.
+    """
+    original = clone_map.original
+    table = np.full(schedule.table.shape, IDLE, dtype=np.int32)
+    for c, origin in enumerate(clone_map.origin_of):
+        table[schedule.table == c] = origin
+    return Schedule(original, schedule.platform, table)
 
 
 def _memory_guarded_spec(spec: SolverSpec) -> SolverSpec | None:
@@ -273,7 +287,7 @@ class SolveReport:
             return None
         if self.clone_map.is_identity:
             return self.schedule
-        return _merge_clone_schedule(self.schedule, self.clone_map)
+        return merge_clone_schedule(self.schedule, self.clone_map)
 
     @property
     def stats(self) -> SolverStats:

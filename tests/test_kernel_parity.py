@@ -1,19 +1,18 @@
-"""Kernel parity suite: the vectorised paths must be byte-identical.
+"""Kernel parity suite: every kernel agrees with the code it replaced.
 
-Every kernel in :mod:`repro.kernels` has three implementations that must
-agree observation-for-observation:
-
-* the **scalar reference** it replaced (the slot-by-slot simulator loop,
-  the per-propagator engine path, the per-interval demand loops);
-* the **numpy** fast path;
-* the **pure-Python fallback** used when numpy is absent or masked via
-  ``REPRO_NO_NUMPY=1``.
+* the block-stepping simulator against the scalar slot-by-slot loop;
+* the demand kernel's numpy table against its pure-Python rolling
+  sweep (the one kernel with two paths; ``REPRO_NO_NUMPY=1`` selects
+  the sweep);
+* the counting aggregates the engine updates inline against a fresh
+  :meth:`~repro.kernels.fixpoint.CountingKernel.evaluate` at every
+  search node.
 
 "Byte-identical" is literal: same SimulationResult fields including the
 extracted cyclic schedule, same cascade certificates witness-for-witness,
-same engine status/nodes/fails on the pinned regression grid, same
-CountingKernel aggregates.  CI runs this file twice — once with numpy,
-once under ``REPRO_NO_NUMPY=1`` — so both kernel paths stay covered.
+same CountingKernel aggregates.  CI runs this file twice — once with
+numpy, once under ``REPRO_NO_NUMPY=1`` — so both demand paths stay
+covered.
 """
 
 import random
@@ -29,7 +28,7 @@ from repro.generator import GeneratorConfig, generate_instance
 from repro.generator.named import running_example, running_example_platform
 from repro.generator.random_systems import generate_system
 from repro.kernels import demand as demand_kernel
-from repro.kernels import have_numpy, kernel_availability, numpy_or_none
+from repro.kernels import have_numpy, numpy_or_none
 from repro.kernels.fixpoint import CountingKernel
 from repro.model import Platform, TaskSystem
 from repro.solvers.registry import create_solver
@@ -121,14 +120,6 @@ class TestSimulatorParity:
             ),
         )
 
-    def test_numpy_masked_fallback(self, monkeypatch):
-        """The list-of-rows history path returns the same schedules."""
-        with_np = [global_edf(_random_system(s), 2) for s in range(10)]
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        without = [global_edf(_random_system(s), 2) for s in range(10)]
-        for a, b in zip(with_np, without):
-            _sim_equal(a, b)
-
 
 # ---------------------------------------------------------------------------
 # demand kernels: numpy table vs pure-Python rolling sweep
@@ -188,11 +179,15 @@ class TestDemandParity:
 
 
 # ---------------------------------------------------------------------------
-# engine: vectorised batching vs the legacy per-propagator path
+# CountingKernel: inline aggregates vs the fresh evaluate sweep
 # ---------------------------------------------------------------------------
 
 ENGINE_SPECS = [None, (4, 4, 2, 11), (4, 4, 2, 12), (5, 4, 2, 23),
                 (5, 5, 2, 31)]
+
+
+def _spec_id(spec):
+    return "running-example" if spec is None else "n{}-t{}-m{}-s{}".format(*spec)
 
 
 def _instance(spec):
@@ -203,26 +198,71 @@ def _instance(spec):
     return inst.system, Platform.identical(inst.m)
 
 
-class TestEngineParity:
-    """vectorize=True/None/False: identical search decisions (PR-3 grid)."""
+def _check_inline_aggregates(monkeypatch, solver_name, system, plat):
+    """Run a seeded search, checking every active row after each
+    successful fixpoint; returns the decision levels checked."""
+    from repro.csp.search import Solver
 
-    @pytest.mark.parametrize("solver_name", ["csp1", "csp2-generic",
-                                             "csp2-generic+dc"])
-    @pytest.mark.parametrize("spec", ENGINE_SPECS, ids=str)
-    def test_vec_vs_scalar_counters(self, solver_name, spec):
+    make_fixpoint = Solver._make_fixpoint
+    levels = []
+
+    def checking_make_fixpoint(engine, state):
+        fixpoint = make_fixpoint(engine, state)
+        kernel = engine._kernel
+        assert kernel is not None, "counting rows should be batched"
+
+        def checking_fixpoint():
+            ok = fixpoint()
+            if ok:
+                fresh = kernel.evaluate(state)
+                for row, agg in zip(kernel.rows, fresh):
+                    if engine._active[row.pid]:
+                        assert row.c == agg, (row.pid, row.c, agg)
+                levels.append(state.level)
+            return ok
+
+        return checking_fixpoint
+
+    monkeypatch.setattr(Solver, "_make_fixpoint", checking_make_fixpoint)
+    create_solver(solver_name, system, plat, seed=SEED).solve(node_limit=2_000)
+    return levels
+
+
+INLINE_SOLVERS = pytest.mark.parametrize(
+    "solver_name", ["csp1", "csp2-generic", "csp2-generic+dc"],
+    ids=["csp1", "csp2-generic", "csp2-generic-dc"],
+)
+
+
+class TestInlineAggregates:
+    """The fixpoint updates the counting aggregates inline, event by
+    event; after every successful fixpoint each active row must hold
+    exactly what a fresh sweep over the domains computes.  Entailed rows
+    are skipped: they keep frozen aggregates by design."""
+
+    @INLINE_SOLVERS
+    @pytest.mark.parametrize("spec", ENGINE_SPECS, ids=_spec_id)
+    def test_active_rows(self, solver_name, spec, monkeypatch):
+        """Identical platforms: the 2-slot rows."""
         system, plat = _instance(spec)
-        runs = {}
-        for vec in (None, False, True):
-            solver = create_solver(
-                solver_name, system, plat, seed=SEED, vectorize=vec
-            )
-            out = solver.solve(node_limit=20_000)
-            runs[vec] = (out.status.value, out.stats.nodes, out.stats.fails)
-        assert runs[None] == runs[False] == runs[True]
+        levels = _check_inline_aggregates(monkeypatch, solver_name, system, plat)
+        # the root and at least one search node below it were checked
+        assert levels and max(levels) > 0
+
+    @INLINE_SOLVERS
+    @pytest.mark.parametrize("spec", [None, (4, 4, 2, 14), (4, 4, 2, 20)],
+                             ids=_spec_id)
+    def test_weighted_rows(self, solver_name, spec, monkeypatch):
+        """Uniform platforms: the 3-slot weighted rows."""
+        system, _ = _instance(spec)
+        levels = _check_inline_aggregates(
+            monkeypatch, solver_name, system, Platform.uniform([2, 1])
+        )
+        assert levels and max(levels) > 0
 
 
 # ---------------------------------------------------------------------------
-# CountingKernel: numpy reset pass vs the scalar evaluate sweep
+# CountingKernel: reset writes the evaluate sweep
 # ---------------------------------------------------------------------------
 
 class TestCountingKernelReset:
@@ -243,12 +283,6 @@ class TestCountingKernelReset:
         after_reset = [list(row.c) for row in kernel.rows]
         assert after_reset == kernel.evaluate(state)
 
-    def test_reset_matches_evaluate_numpy_masked(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        kernel, state = self._kernel_and_state()
-        kernel.reset(state)
-        assert [list(row.c) for row in kernel.rows] == kernel.evaluate(state)
-
 
 # ---------------------------------------------------------------------------
 # availability reporting
@@ -263,7 +297,3 @@ class TestAvailability:
         # unmasked: the answer reflects the actual install, immediately
         assert (numpy_or_none() is not None) == have_numpy()
 
-    def test_availability_payload_shape(self):
-        info = kernel_availability()
-        assert set(info) >= {"numpy", "batched_fixpoint", "simulator_blocks",
-                             "demand_table", "vectorized_var_orders"}

@@ -96,7 +96,7 @@ class TestRegistryMetadata:
 
     def test_unknown_suffix_rejected_everywhere(self):
         for bad in ("csp2+bogus", "edf+bogus", "csp2-local+x", "sat+bogus",
-                    "portfolio:csp2+zzz,sat"):
+                    "portfolio:csp2+zzz,sat", "csp1+vec", "csp2-generic+vec"):
             assert not is_solver_name(bad), bad
             with pytest.raises(ValueError, match="suffix"):
                 create_solver(bad, running_example(), Platform.identical(2))
@@ -347,19 +347,6 @@ class TestSolversCli:
         by_base = {entry["names"][0]: entry for entry in entries}
         assert "proves_infeasibility" in by_base["csp2"]["capabilities"]
         assert by_base["csp2-local"]["capabilities"] == []
-
-    def test_solvers_json_reports_kernel_availability(self, capsys):
-        from repro.cli import main
-        from repro.kernels import have_numpy
-
-        assert main(["solvers", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        kernels = payload["kernels"]
-        assert kernels["numpy"] == have_numpy()
-        assert kernels["batched_fixpoint"] is True
-        for key in ("vectorized_var_orders", "simulator_blocks",
-                    "demand_table"):
-            assert key in kernels
 
     def test_solvers_json_carries_service_discovery_fields(self, capsys):
         """The service hello/clients key off base, suffixes, memory_bound."""

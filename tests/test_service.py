@@ -1,9 +1,11 @@
 """Tests for the solver service (protocol, daemon, client, CLI serve)."""
 
 import json
+import logging
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro.service.protocol import (
     parse_solve_request,
     request_cell,
 )
+from repro.service.server import LINE_LIMIT
 from repro.solvers.problem import Problem, solve_problem
 
 TIME_LIMIT = 5.0
@@ -266,6 +269,23 @@ class TestStructuredErrors:
         # the connection survived: a real solve still works
         assert client.solve(make_problems(1)[0]) is not None
 
+    @pytest.mark.parametrize("size", [70_000, 1_000_000])
+    def test_over_limit_line_is_one_bad_request(self, service, size, caplog):
+        _handle, client = service
+        caplog.set_level(logging.ERROR)
+        stats = {"id": 2, "type": "stats"}
+        client._wfile.write(_oversize_stats_line(size))
+        client._wfile.write(json.dumps(stats) + "\n")
+        client._wfile.flush()
+        error = json.loads(client._rfile.readline())
+        assert error["type"] == "error" and error["code"] == "bad-request"
+        assert str(LINE_LIMIT) in error["detail"]
+        # exactly one answer for the long line: the next one is the stats
+        reply = json.loads(client._rfile.readline())
+        assert reply["id"] == 2 and reply["stats"]["errors"] == 1
+        assert client.solve(make_problems(1)[0]) is not None
+        assert not [r for r in caplog.records if r.exc_info]
+
     def test_unknown_request_type(self, service):
         _handle, client = service
         client._write({"id": 7, "type": "dance"})
@@ -448,6 +468,39 @@ class TestStdio:
         finally:
             proc.kill()
         assert (tmp_path / "j.jsonl").exists()
+
+
+    def test_over_limit_line_over_pipes(self, tmp_path):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--stdio",
+             "--jobs", "1", "--unsupervised"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+            cwd=Path(__file__).resolve().parents[1],
+        )
+        try:
+            assert json.loads(proc.stdout.readline())["type"] == "hello"
+            proc.stdin.write(_oversize_stats_line(70_000))
+            proc.stdin.write(json.dumps({"id": 2, "type": "stats"}) + "\n")
+            proc.stdin.flush()
+            error = json.loads(proc.stdout.readline())
+            assert error["type"] == "error" and error["code"] == "bad-request"
+            reply = json.loads(proc.stdout.readline())
+            assert reply["id"] == 2 and reply["stats"]["errors"] == 1
+            proc.stdin.close()
+            assert proc.wait(timeout=60.0) == 0
+            assert "Traceback" not in proc.stderr.read()
+        finally:
+            proc.kill()
+
+
+def _oversize_stats_line(size: int) -> str:
+    """A well-formed ``stats`` request padded past the line limit."""
+    assert size > LINE_LIMIT
+    return json.dumps({"id": 1, "type": "stats", "pad": "x" * size}) + "\n"
 
 
 class TestConfigValidation:
