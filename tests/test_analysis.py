@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     demand_over_capacity_witness,
-    necessary_conditions,
-    passes_utilization_filter,
+    necessary_certificates,
+    utilization_certificate,
+    utilization_exceeds,
+    wcet_slack_certificate,
 )
 from repro.model import Platform, Task, TaskSystem
 from repro.solvers import create_solver
@@ -17,15 +19,19 @@ from tests.helpers import running_example
 
 class TestUtilizationFilter:
     def test_running_example_passes_m2(self):
-        assert passes_utilization_filter(running_example(), 2)
+        assert not utilization_exceeds(running_example().utilization_ratio(2))
+        assert not utilization_certificate(running_example(), 2).decided
 
     def test_running_example_fails_m1(self):
         # U = 23/12 > 1
-        assert not passes_utilization_filter(running_example(), 1)
+        assert utilization_exceeds(running_example().utilization_ratio(1))
+        assert utilization_certificate(running_example(), 1).proves_infeasible
 
     def test_boundary_exact_one(self):
+        # the filter is r > 1, so r == 1 passes
         s = TaskSystem.from_tuples([(0, 1, 1, 1)])
-        assert passes_utilization_filter(s, 1)
+        assert not utilization_exceeds(s.utilization_ratio(1))
+        assert not utilization_certificate(s, 1).decided
 
 
 class TestDemandWitness:
@@ -45,7 +51,7 @@ class TestDemandWitness:
         # two tasks with D=1 at the same slot on m=1: demand 2 in 1 slot,
         # but long periods keep U = 2/8 <= 1
         s = TaskSystem.from_tuples([(0, 1, 1, 8), (0, 1, 1, 8)])
-        assert passes_utilization_filter(s, 1)
+        assert not utilization_certificate(s, 1).decided
         w = demand_over_capacity_witness(s, 1)
         assert w is not None
         assert w[0] == 0 and w[1] == 0 and w[2] == 2
@@ -61,26 +67,19 @@ class TestDemandWitness:
 
 class TestNecessaryConditions:
     def test_all_pass_on_feasible(self):
-        checks = necessary_conditions(running_example(), 2)
-        assert all(c.ok for c in checks)
-        assert {c.name for c in checks} == {
-            "utilization", "wcet-within-deadline", "interval-demand",
-        }
+        certs = necessary_certificates(running_example(), 2)
+        assert not any(c.proves_infeasible for c in certs)
 
     def test_utilization_fail(self):
-        checks = necessary_conditions(running_example(), 1)
-        by_name = {c.name: c for c in checks}
-        assert not by_name["utilization"].ok
+        cert = utilization_certificate(running_example(), 1)
+        assert cert.proves_infeasible
+        assert cert.test_name == "necessary:utilization"
 
     def test_cd_fail(self):
         s = TaskSystem.from_tuples([(0, 3, 2, 4)])
-        by_name = {c.name: c for c in necessary_conditions(s, 1)}
-        assert not by_name["wcet-within-deadline"].ok
-        assert "C > D" in by_name["wcet-within-deadline"].detail
-
-    def test_str_format(self):
-        checks = necessary_conditions(running_example(), 2)
-        assert all(str(c).startswith("[pass]") for c in checks)
+        cert = wcet_slack_certificate(s, 1)
+        assert cert.proves_infeasible
+        assert "C = 3 > D = 2" in cert.detail
 
 
 def small_systems():
@@ -100,18 +99,6 @@ def small_systems():
             max_size=4,
         ),
     )
-
-
-@settings(deadline=None, max_examples=40)
-@given(small_systems(), st.integers(1, 3))
-def test_necessary_conditions_are_necessary(system, m):
-    """If any check fails, the exact solver must agree the instance is
-    infeasible (soundness of the necessary conditions)."""
-    checks = necessary_conditions(system, m)
-    if all(c.ok for c in checks):
-        return
-    r = create_solver("csp2+dc", system, Platform.identical(m)).solve(time_limit=20)
-    assert not r.is_feasible, (system, m, [str(c) for c in checks])
 
 
 @settings(deadline=None, max_examples=40)

@@ -607,6 +607,31 @@ def test_seeded_agreement_grid(learner, reference):
         assert a.status_label == b.status_label, (learner, seed)
 
 
+#: boundary-utilization, UNSAT-heavy cells (n, tmax, m, seed) where
+#: chronological search thrashes: (plain, learning) solver pairs
+_BOUNDARY_CELLS = [
+    ("csp2-generic+dc", "csp2+learn", (4, 4, 2, 16)),
+    ("csp2-generic+dc", "csp2+learn", (4, 4, 2, 27)),
+    ("csp1", "csp1+learn", (4, 4, 2, 16)),
+]
+
+
+def test_learning_cuts_nodes_on_boundary_cells():
+    """On the boundary cells the learning engines agree with the
+    chronological ones and need at least 1.3x fewer nodes in aggregate."""
+    plain_nodes = learn_nodes = 0
+    for plain, learner, (n, tmax, m, seed) in _BOUNDARY_CELLS:
+        inst = generate_instance(GeneratorConfig(n=n, tmax=tmax, m=m), seed)
+        platform = Platform.identical(inst.m)
+        a = create_solver(plain, inst.system, platform).solve(node_limit=20_000)
+        b = create_solver(learner, inst.system, platform).solve(node_limit=20_000)
+        if "unknown" not in (a.status.value, b.status.value):
+            assert a.status is b.status, (plain, learner, seed)
+        plain_nodes += a.stats.nodes
+        learn_nodes += b.stats.nodes
+    assert plain_nodes >= 1.3 * learn_nodes, (plain_nodes, learn_nodes)
+
+
 # -- restart stats merging (satellite) ----------------------------------------
 
 class TestRestartStatsMerge:

@@ -259,6 +259,38 @@ class TestMemoCache:
         assert stats["cache_entries"] == 2
 
 
+def _stream(client, problems):
+    """Pipeline ``problems`` once; return (status labels, cached flags)."""
+    cached = [None] * len(problems)
+
+    def record(index, _report, hit):
+        cached[index] = hit
+
+    reports = client.solve_many(problems, on_response=record)
+    return [r.status_label for r in reports], cached
+
+
+class TestSupervisedDaemon:
+    def test_cold_pass_computes_and_warm_pass_hits_the_cache(self, tmp_path):
+        """The production default: each solve runs in a supervised child."""
+        config = ServiceConfig(
+            jobs=2, cache_dir=str(tmp_path / "cache"), supervised=True
+        )
+        problems = make_problems(4)
+        with ServiceHandle(config) as handle:
+            host, port = handle._addr
+            with ServiceClient.connect(host, port) as client:
+                cold_labels, cold_hits = _stream(client, problems)
+                warm_labels, warm_hits = _stream(client, problems)
+                stats = client.stats()
+        assert cold_hits == [False] * len(problems)
+        assert warm_hits == [True] * len(problems)
+        assert warm_labels == cold_labels
+        assert "unknown" not in cold_labels
+        assert stats["computed"] == stats["cached"] == len(problems)
+        assert stats["faulted"] == 0
+
+
 class TestStructuredErrors:
     def test_malformed_json_line_keeps_the_connection(self, service):
         _handle, client = service
