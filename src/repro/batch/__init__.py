@@ -17,8 +17,9 @@ campaigns into first-class objects:
   primitive for the ``portfolio:`` meta-solver — several attempts at
   the *same* cell, first decisive answer wins, losers terminated;
 * :mod:`repro.batch.supervise` — :func:`run_supervised`: one work unit
-  in one disposable watched child, with wall watchdog, optional
-  address-space rlimit and fault classification (the layer that makes
+  on a long-lived watched worker of a :class:`WorkerPool`, with wall
+  watchdog, optional address-space rlimit and fault classification
+  (a faulted worker is replaced, never reused; the layer that makes
   ``run_batch`` campaigns *always complete*, journaling dead cells as
   ``fault:*`` records after bounded deterministic retries);
 * :mod:`repro.batch.chaos` — :class:`ChaosConfig`: seeded deterministic
@@ -60,6 +61,7 @@ from repro.batch.supervise import (
     FAULT_OOM,
     FAULT_TIMEOUT,
     FaultRecord,
+    WorkerPool,
     run_supervised,
 )
 
@@ -83,6 +85,7 @@ __all__ = [
     "ChaosConfig",
     "ChaosError",
     "FaultRecord",
+    "WorkerPool",
     "run_supervised",
     "FAULT_CRASH",
     "FAULT_ERROR",

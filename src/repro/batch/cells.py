@@ -152,7 +152,7 @@ def solve_cell(cell: Cell, chaos=None, chaos_key: str | None = None):
 
     ``chaos`` opts this run into deterministic fault injection
     (:mod:`repro.batch.chaos`) keyed by ``chaos_key`` (default: the
-    cell's content key) — only ever pass it in a supervised child, since
+    cell's content key) — only ever pass it in a supervised worker, since
     an injected ``crash`` SIGKILLs the calling process.
     """
     from repro.experiments.runner import RunRecord

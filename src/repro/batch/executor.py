@@ -19,14 +19,16 @@ three sources each record came from —
 Fault tolerance: a campaign *always completes*.  A cell whose execution
 dies — worker SIGKILLed by the OOM killer, a hang past the watchdog, an
 unhandled exception — is retried a bounded number of times (seeded
-deterministic backoff) in supervised one-shot children
+deterministic backoff) on supervised workers
 (:mod:`repro.batch.supervise`), then journaled as a ``fault:*`` record
 like any other result.  The default pool path escalates failed cells to
 the supervised path instead of letting ``BrokenProcessPool`` abort the
 campaign; ``supervised=True`` (forced on whenever chaos injection is
-configured) runs *every* computed cell in its own watched child with an
-optional address-space rlimit.  All of that now lives behind the
-transport seam, so other consumers (the solver service) inherit it.
+configured) runs *every* computed cell on a watched worker with an
+optional address-space rlimit.  Workers are reused across the cells of
+one batch, and a faulted worker is replaced, so every retry runs in a
+fresh process.  All of that lives behind the transport seam, so other
+consumers (the solver service) inherit it.
 
 Determinism: a cell's outcome depends only on its content (system, solver,
 budgets, seed), never on scheduling, so ``jobs=N`` produces the same
@@ -161,7 +163,7 @@ def run_batch(
         (from whichever source).  A callback that raises is disabled with
         a warning — user code must never abort journaling mid-campaign.
     supervised:
-        Run every computed cell in its own watched child process
+        Run every computed cell on a watched worker process
         (watchdog + optional rlimit + fault classification).  Without it
         the pool fast path is used and only *failing* cells escalate to
         supervision.  Forced on whenever ``chaos`` is set.
@@ -169,7 +171,7 @@ def run_batch(
         Extra supervised attempts granted to a faulted cell before it is
         journaled as ``fault:*``.
     memory_limit:
-        Per-child ``RLIMIT_AS`` in bytes (supervised executions only).
+        Per-worker ``RLIMIT_AS`` in bytes (supervised executions only).
     chaos:
         Opt-in deterministic fault injection
         (:class:`~repro.batch.chaos.ChaosConfig`); implies supervision.
@@ -187,7 +189,8 @@ def run_batch(
         ``jobs``/``supervised``/``retries``/``memory_limit``/``grace``/
         ``backoff`` — the historical behavior; passing one explicitly
         overrides all of those execution knobs (caching, journaling and
-        ordering are unaffected).
+        ordering are unaffected).  A transport built here is closed
+        before returning; a passed one is left to its owner.
 
     Returns
     -------
@@ -310,7 +313,8 @@ def run_batch(
                 record_done(i, key, record)
 
         if pending:
-            if transport is None:
+            owned = transport is None
+            if owned:
                 transport = LocalPoolTransport(
                     jobs=jobs,
                     supervised=use_supervised,
@@ -328,18 +332,22 @@ def run_batch(
                 )
                 for key, indices in pending.items()
             ]
-            for res in transport.execute(items):
-                cell = cells[pending[res.key][0]]
-                if res.fault is not None:
-                    record = _fault_run_record(cell, res.fault)
-                elif chaos is not None:
-                    # chaos campaigns trade timing fidelity for
-                    # determinism: charge the budget so re-runs journal
-                    # byte-identically
-                    record = replace(res.value, elapsed=cell.time_limit)
-                else:
-                    record = res.value
-                finish(res.key, record, res.attempts > 1)
+            try:
+                for res in transport.execute(items):
+                    cell = cells[pending[res.key][0]]
+                    if res.fault is not None:
+                        record = _fault_run_record(cell, res.fault)
+                    elif chaos is not None:
+                        # chaos campaigns trade timing fidelity for
+                        # determinism: charge the budget so re-runs
+                        # journal byte-identically
+                        record = replace(res.value, elapsed=cell.time_limit)
+                    else:
+                        record = res.value
+                    finish(res.key, record, res.attempts > 1)
+            finally:
+                if owned:
+                    transport.close()
     finally:
         if journal_fh is not None:
             journal_fh.close()

@@ -2,8 +2,8 @@
 
 :func:`~repro.batch.executor.run_batch` historically hard-wired three
 execution strategies — in-process serial, a ``ProcessPoolExecutor`` with
-escalation of failed cells, and supervised one-shot children with
-bounded retries.  This module extracts that seam into a :class:`Transport`
+escalation of failed cells, and supervised watched workers with bounded
+retries.  This module extracts that seam into a :class:`Transport`
 protocol so other consumers (the solver service daemon in
 :mod:`repro.service`) can run work on the exact same machinery without
 going through campaign bookkeeping:
@@ -14,9 +14,11 @@ going through campaign bookkeeping:
 * a :class:`WorkResult` is how it ended: the worker's return value, or a
   classified :class:`~repro.batch.supervise.FaultRecord` once retries
   are exhausted, plus the attempt count;
-* :class:`LocalPoolTransport` is today's local path, unchanged in
-  behavior: serial / pool / supervised execution with deterministic
-  seeded retry backoff and escalation of pool failures to supervision.
+* :class:`LocalPoolTransport` is the local path: serial / pool /
+  supervised execution with deterministic seeded retry backoff and
+  escalation of pool failures to supervision.  It owns one
+  :class:`~repro.batch.supervise.WorkerPool`, so every supervised
+  attempt it makes reuses the long-lived workers of earlier ones.
 
 Workers are invoked as ``fn(payload, attempt)`` with a 0-based attempt
 number so fault-injection hooks (chaos) can salt their draws per
@@ -33,7 +35,12 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from typing import Any, Protocol, runtime_checkable
 
-from repro.batch.supervise import DEFAULT_GRACE, FaultRecord, run_supervised
+from repro.batch.supervise import (
+    DEFAULT_GRACE,
+    FaultRecord,
+    WorkerPool,
+    run_supervised,
+)
 
 __all__ = [
     "WorkItem",
@@ -130,7 +137,7 @@ def _call(fn: Callable, payload: Any, attempt: int) -> Any:
 
 
 def _supervised_call(packed: tuple) -> Any:
-    """Supervised-child shim: unpack ``(fn, payload, attempt)`` and run."""
+    """Supervised-worker shim: unpack ``(fn, payload, attempt)`` and run."""
     fn, payload, attempt = packed
     return fn(payload, attempt)
 
@@ -140,16 +147,21 @@ class LocalPoolTransport:
 
     Three strategies, selected exactly as ``run_batch`` always has:
 
-    * ``supervised=True`` — every item runs in its own watched child
+    * ``supervised=True`` — every item runs in a watched worker of the
+      transport's :attr:`pool`
       (:func:`~repro.batch.supervise.run_supervised`) with bounded
-      deterministic retries; ``jobs`` watcher threads wait in parallel;
+      deterministic retries; ``jobs`` watcher threads wait in parallel,
+      so at most ``jobs`` workers are ever started while none faults;
     * ``jobs == 1`` — in-process execution (no pool, no pickling,
       bit-compatible with the historical serial runner); a raising item
       escalates to the supervised retry loop;
     * ``jobs > 1`` — a ``ProcessPoolExecutor`` fast path; any failed
       future (including a pool-breaking worker death) escalates to
-      supervised one-shot children in original item order, so a batch
-      *always completes*.
+      supervised workers in original item order, so a batch *always
+      completes*.
+
+    Idle supervised workers live until :meth:`close` (or the end of a
+    ``with`` block); the transport stays usable after it.
     """
 
     def __init__(
@@ -168,13 +180,24 @@ class LocalPoolTransport:
         self.jobs = jobs
         self.supervised = supervised
         self.retries = retries
-        self.memory_limit = memory_limit
         self.grace = grace
         self.backoff = backoff
+        #: the watched workers every supervised attempt runs on
+        self.pool = WorkerPool(memory_limit)
+
+    def close(self) -> None:
+        """Reap the idle supervised workers."""
+        self.pool.close()
+
+    def __enter__(self) -> "LocalPoolTransport":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- supervised path ----------------------------------------------------
     def _run_with_retries(self, item: WorkItem, base_attempts: int = 0) -> WorkResult:
-        """One item in watched children until it answers or retries run out.
+        """One item on watched workers until it answers or retries run out.
 
         ``base_attempts`` counts executions already burned elsewhere (a
         failed pool attempt); it rides into ``WorkResult.attempts`` but
@@ -192,7 +215,7 @@ class LocalPoolTransport:
                 _supervised_call,
                 (item.fn, item.payload, attempt),
                 wall_limit=wall,
-                memory_limit=self.memory_limit,
+                pool=self.pool,
             )
             if fault is None:
                 return WorkResult(
@@ -211,15 +234,15 @@ class LocalPoolTransport:
     def _execute_supervised(
         self, items: Sequence[WorkItem], base_attempts: int = 0
     ) -> Iterator[WorkResult]:
-        """Run these items in watched children, ``jobs`` wide."""
+        """Run these items on watched workers, ``jobs`` wide."""
         if self.jobs == 1 or len(items) == 1:
             for item in items:
                 yield self._run_with_retries(item, base_attempts)
             return
         from concurrent.futures import ThreadPoolExecutor, as_completed
 
-        # threads only *wait* on supervised children; the work runs in
-        # one watched process per attempt
+        # threads only *wait* on supervised workers; the work runs in
+        # the pool's watched processes
         with ThreadPoolExecutor(max_workers=self.jobs) as waiters:
             tasks = [
                 waiters.submit(self._run_with_retries, item, base_attempts)
@@ -234,7 +257,7 @@ class LocalPoolTransport:
             try:
                 value = item.fn(item.payload, 0)
             except Exception:
-                # escalate: retry in supervised children, classify there
+                # escalate: retry on supervised workers, classify there
                 yield self._run_with_retries(item, base_attempts=1)
             else:
                 yield WorkResult(key=item.key, value=value, attempts=1)

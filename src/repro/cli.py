@@ -862,13 +862,13 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--resume", action="store_true",
                    help="skip cells already completed in --output")
     b.add_argument("--supervised", action="store_true",
-                   help="run every cell in its own watched child process "
+                   help="run every cell on a watched worker process "
                    "(watchdog, fault classification, optional rlimit)")
     b.add_argument("--retries", type=int, default=1,
                    help="extra supervised attempts for a faulted cell "
                    "before it is journaled as fault:*")
     b.add_argument("--memory-limit", type=int, default=None, metavar="BYTES",
-                   help="per-child RLIMIT_AS (supervised executions only)")
+                   help="per-worker RLIMIT_AS (supervised executions only)")
     b.add_argument("--fault-resume", choices=("skip", "retry"), default="skip",
                    help="what --resume does with journaled fault:* cells: "
                    "serve them as-is, or recompute them")
@@ -892,7 +892,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="serve one session over stdin/stdout instead of "
                     "TCP (stdout becomes the protocol channel)")
     sv.add_argument("--jobs", "-j", type=int, default=2,
-                    help="solves in flight at once (one watched child each)")
+                    help="solves in flight at once (one watched worker each)")
     sv.add_argument("--max-pending", type=int, default=64,
                     help="admission window; the next request is answered "
                     "with a structured 'busy' error")
@@ -914,9 +914,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="extra supervised attempts before a request is "
                     "answered fault:*")
     sv.add_argument("--memory-limit", type=int, default=None, metavar="BYTES",
-                    help="per-child RLIMIT_AS (supervised solves only)")
+                    help="per-worker RLIMIT_AS (supervised solves only)")
     sv.add_argument("--unsupervised", action="store_true",
-                    help="solve in-process instead of watched children "
+                    help="solve in-process instead of on watched workers "
                     "(faster; a crashing solve takes the daemon down)")
     sv.add_argument("--no-remote-shutdown", action="store_true",
                     help="ignore 'shutdown' requests from clients")

@@ -31,7 +31,7 @@ from repro.lint.report import Finding
 __all__ = ["ProcessCallableRule", "ProcessPayloadRule"]
 
 #: the dirs whose callables routinely cross process boundaries (the
-#: service ships every solve into transport workers/supervised children)
+#: service ships every solve into pool or supervised workers)
 PICKLE_SCOPE = (
     "src/repro/batch/",
     "src/repro/difftest/",
@@ -74,8 +74,8 @@ def _process_calls(tree: ast.AST) -> Iterator[tuple[ast.Call, list[ast.expr], li
                 if kw.arg == "worker":
                     callables.append(kw.value)
         elif simple == "run_supervised":
-            # run_supervised(fn, payload, ...): fn is pickled into the
-            # supervised child, payload rides along
+            # run_supervised(fn, payload, ..., pool=...): fn is pickled
+            # into the supervised worker, payload rides along
             if node.args:
                 callables.append(node.args[0])
                 payloads.extend(node.args[1:2])

@@ -4,10 +4,13 @@
 ends: *listening* happens over TCP (:meth:`~SolverService.serve_tcp`)
 or the process's own stdin/stdout (:meth:`~SolverService.serve_stdio`),
 and *executing* happens on the batch layer's
-:class:`~repro.batch.transport.Transport` seam (by default a
-single-item supervised :class:`~repro.batch.transport.LocalPoolTransport`
-per request — one watched child each, so a crashing or hanging solve
-faults that request, never the daemon).
+:class:`~repro.batch.transport.Transport` seam.  By default that is one
+supervised :class:`~repro.batch.transport.LocalPoolTransport` for the
+daemon's whole life: its long-lived watched workers start on first
+need, at most ``jobs`` of them while no solve faults, and are reused
+across requests.  A crashing or hanging solve faults that request and
+retires its worker, never the daemon; the transport's idle workers are
+reaped when serving ends.
 
 Request lifecycle:
 
@@ -100,10 +103,10 @@ async def _read_request_line(reader) -> tuple[bytes, bool]:
 
 
 def _solve_request_worker(payload, attempt: int):
-    """Transport worker: solve one service request in a watched child.
+    """Transport worker: solve one service request in a watched worker.
 
     The payload is plain JSON-shaped data (problem dict, solver name,
-    options dict) so it pickles into supervised children and process
+    options dict) so it pickles into supervised workers and process
     pools alike; the returned :class:`~repro.solvers.problem.SolveReport`
     pickles back.
     """
@@ -119,8 +122,9 @@ class ServiceConfig:
     Attributes
     ----------
     jobs:
-        Solves allowed in flight at once (each runs in its own watched
-        child under the default transport).
+        Solves allowed in flight at once; under the default transport
+        this also bounds the watched workers kept alive, since each
+        in-flight solve holds one and a clean one is reused.
     max_pending:
         Admission window: admitted-but-unfinished solve requests across
         all connections; the next one is answered ``busy``.
@@ -136,14 +140,15 @@ class ServiceConfig:
         JSONL path appended to as requests complete (``{"key": ...,
         "report": ...}`` lines); ``None`` disables journaling.
     supervised:
-        Run each solve in a watched child (fault classification, wall
-        watchdog, optional rlimit).  Turning it off executes in-process
-        — faster for tests, but a crashing solve takes the daemon down.
+        Run each solve on a long-lived watched worker (fault
+        classification, wall watchdog, optional rlimit; a faulted
+        worker is replaced).  Turning it off executes in-process —
+        fine for tests, but a crashing solve takes the daemon down.
     retries:
         Extra supervised attempts before a request is answered
         ``fault:*``.
     memory_limit:
-        Per-child ``RLIMIT_AS`` in bytes (supervised only).
+        Per-worker ``RLIMIT_AS`` in bytes (supervised only).
     grace:
         Watchdog headroom past each request's wall budget.
     allow_shutdown:
@@ -164,7 +169,12 @@ class ServiceConfig:
 
 
 class SolverService:
-    """The daemon: admission, memo, transport execution, journaling."""
+    """The daemon: admission, memo, transport execution, journaling.
+
+    A transport the service builds itself is closed when
+    :meth:`serve_tcp` or :meth:`serve_stdio` returns; a passed-in one
+    is left to its owner.
+    """
 
     def __init__(
         self, config: ServiceConfig | None = None,
@@ -177,10 +187,13 @@ class SolverService:
             raise ValueError(
                 f"max_pending must be >= 1, got {self.config.max_pending}"
             )
+        #: the transport this service built (and so closes), if any
+        self._owned: LocalPoolTransport | None = None
         if transport is None:
-            # one watched child per request: concurrency comes from the
-            # service's own semaphore, so the transport itself is serial
-            transport = LocalPoolTransport(
+            # concurrency comes from the service's own semaphore, so the
+            # transport itself is serial; its worker pool is shared by
+            # every request
+            transport = self._owned = LocalPoolTransport(
                 jobs=1,
                 supervised=self.config.supervised,
                 retries=self.config.retries,
@@ -224,6 +237,10 @@ class SolverService:
         snap["in_flight"] = self._pending
         snap["max_pending"] = self.config.max_pending
         snap["jobs"] = self.config.jobs
+        # worker processes the service's own transport has started
+        snap["workers_started"] = (
+            0 if self._owned is None else self._owned.pool.started
+        )
         if self.cache is not None:
             snap["cache_entries"] = len(self.cache)
         return snap
@@ -450,10 +467,13 @@ class SolverService:
         trim_torn_tail(path)
         self._journal_fh = open(path, "a")
 
-    def _close_journal(self) -> None:
+    def _close(self) -> None:
+        """End of serving: close the journal and an owned transport."""
         if self._journal_fh is not None:
             self._journal_fh.close()
             self._journal_fh = None
+        if self._owned is not None:
+            self._owned.close()
 
     async def _drain(self) -> None:
         """Wait out in-flight solves, then cancel idle connections."""
@@ -500,7 +520,7 @@ class SolverService:
             server.close()
             await server.wait_closed()
             await self._drain()
-            self._close_journal()
+            self._close()
 
     async def serve_stdio(self) -> None:
         """Serve one session over this process's stdin/stdout."""
@@ -523,7 +543,7 @@ class SolverService:
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
         finally:
-            self._close_journal()
+            self._close()
 
     def request_stop(self) -> None:
         """Ask a serving loop (possibly on another thread) to stop."""
@@ -538,7 +558,8 @@ class ServiceHandle:
     """A TCP daemon on a background thread — the in-process test/bench rig.
 
     ``start()`` returns the bound ``(host, port)`` once the server
-    listens; ``stop()`` shuts it down and joins the thread.  Usable as a
+    listens; ``stop()`` shuts it down and joins the thread, by which
+    time the daemon's own worker processes are reaped.  Usable as a
     context manager.
     """
 

@@ -291,6 +291,35 @@ def test_mini_repo_clean_when_listed_and_documented(tmp_path):
     assert report.ok
 
 
+def test_pickle_rule_still_sees_run_supervised_on_a_pool(tmp_path):
+    """Dispatch onto a worker pool still pickles ``fn`` and its payload."""
+    batch = tmp_path / "src" / "repro" / "batch"
+    batch.mkdir(parents=True)
+    (batch / "pooled.py").write_text(
+        '"""Mini pooled caller."""\n'
+        "from repro.batch.supervise import WorkerPool, run_supervised\n"
+        "def solve_one(payload):\n"
+        '    """Module-level worker."""\n'
+        "    return payload\n"
+        "def run(items):\n"
+        '    """One good call, one local callable, one lambda payload."""\n'
+        "    def local(payload):\n"
+        "        return payload\n"
+        "    with WorkerPool() as pool:\n"
+        "        good = run_supervised(solve_one, items, pool=pool)\n"
+        "        bad = run_supervised(local, items, pool=pool)\n"
+        "        worse = run_supervised(\n"
+        "            solve_one, payload=(items, lambda: 0), pool=pool\n"
+        "        )\n"
+        "    return good, bad, worse\n"
+    )
+    report = run_lint(tmp_path, targets=["src/repro"], baseline=Baseline())
+    assert counts(report) == {
+        "R4.process-callable": 1,
+        "R4.process-payload": 1,
+    }
+
+
 # ---------------------------------------------------------------------------
 # report shape and the CLI contract
 

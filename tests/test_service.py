@@ -1,7 +1,11 @@
 """Tests for the solver service (protocol, daemon, client, CLI serve)."""
 
+import asyncio
 import json
 import logging
+import multiprocessing
+import os
+import socket
 import subprocess
 import sys
 import threading
@@ -19,6 +23,7 @@ from repro.service import (
     ServiceConfig,
     ServiceError,
     ServiceHandle,
+    SolverService,
 )
 from repro.service.protocol import (
     PROTOCOL,
@@ -27,8 +32,12 @@ from repro.service.protocol import (
     parse_solve_request,
     request_cell,
 )
-from repro.service.server import LINE_LIMIT
+from repro.service import server
+from repro.service.server import LINE_LIMIT, _solve_request_worker
 from repro.solvers.problem import Problem, solve_problem
+from tests.helpers import children_of, wait_dead
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TIME_LIMIT = 5.0
 
@@ -289,6 +298,104 @@ class TestSupervisedDaemon:
         assert "unknown" not in cold_labels
         assert stats["computed"] == stats["cached"] == len(problems)
         assert stats["faulted"] == 0
+        # clean solves reuse workers: never more than ``jobs`` started
+        assert 1 <= stats["workers_started"] <= config.jobs
+
+    def test_each_faulted_attempt_retires_one_worker(self, monkeypatch):
+        monkeypatch.setattr(server, "_solve_request_worker", _crash_on_label)
+        config = ServiceConfig(jobs=1, supervised=True, retries=1)
+        crash, after = make_problems(2, seed=12)
+        crash = Problem.of(
+            crash.system, m=2, time_limit=TIME_LIMIT, label="crash"
+        )
+        with ServiceHandle(config) as handle:
+            host, port = handle._addr
+            with ServiceClient.connect(host, port) as client:
+                _stream(client, make_problems(4))
+                assert client.stats()["workers_started"] == 1
+                assert client.solve(crash).status_label == "fault:crash"
+                assert client.solve(after).status_label != "fault:crash"
+                stats = client.stats()
+        assert stats["faulted"] == 1
+        # both attempts of the crash faulted; each retired its worker,
+        # and each retirement was replaced by one fresh start
+        assert stats["workers_started"] == 1 + 2
+
+
+def _crash_on_label(payload, attempt):
+    """The daemon's request worker, except that a ``crash`` label dies."""
+    if payload[0]["label"] == "crash":
+        os._exit(3)
+    return _solve_request_worker(payload, attempt)
+
+
+class TestWorkerLifecycle:
+    def test_stop_leaves_no_worker_processes(self):
+        before = set(multiprocessing.active_children())
+        handle = ServiceHandle(ServiceConfig(jobs=2, supervised=True))
+        host, port = handle.start()
+        with ServiceClient.connect(host, port) as client:
+            _stream(client, make_problems(4))
+            assert client.stats()["workers_started"] >= 1
+        assert set(multiprocessing.active_children()) - before
+        handle.stop()
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_stdio_session_end_reaps_workers(self, monkeypatch):
+        before = set(multiprocessing.active_children())
+        server_in, client_out = socket.socketpair()
+        server_out, client_in = socket.socketpair()
+        problem, = make_problems(1)
+        request = {
+            "id": 1, "type": "solve", "problem": problem.to_dict(),
+            "solver": "csp2+dc", "options": {},
+        }
+        client_out.sendall((json.dumps(request) + "\n").encode())
+        client_out.shutdown(socket.SHUT_WR)  # EOF ends the session
+        monkeypatch.setattr(sys, "stdin", server_in.makefile("rb"))
+        monkeypatch.setattr(sys, "stdout", server_out.makefile("wb"))
+        service = SolverService(ServiceConfig(jobs=1, supervised=True))
+        session = threading.Thread(
+            target=asyncio.run, args=(service.serve_stdio(),)
+        )
+        session.start()
+        session.join(timeout=60.0)
+        assert not session.is_alive()
+        assert set(multiprocessing.active_children()) <= before
+        assert service.stats()["workers_started"] == 1
+        for sock in (server_in, client_out, server_out):
+            sock.close()
+        with client_in, client_in.makefile("r") as replies:
+            lines = replies.read().splitlines()
+        assert json.loads(lines[-1])["type"] == "report"
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self"), reason="finds workers through /proc"
+    )
+    def test_killed_daemon_leaves_no_orphan_workers(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--jobs", "2",
+             "--port", "0"],
+            stdout=subprocess.PIPE,
+            text=True,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+            cwd=ROOT,
+        )
+        try:
+            listening = json.loads(proc.stdout.readline())
+            host, port = listening["host"], listening["port"]
+            with ServiceClient.connect(host, port) as client:
+                _stream(client, make_problems(8))
+                started = client.stats()["workers_started"]
+            workers = children_of(proc.pid)
+            assert 1 <= len(workers) == started <= 2
+            proc.kill()
+            proc.wait(timeout=10.0)
+            for pid in workers:
+                wait_dead(pid, timeout=5.0)
+        finally:
+            proc.kill()
+            proc.stdout.close()
 
 
 class TestStructuredErrors:

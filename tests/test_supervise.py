@@ -1,7 +1,10 @@
-"""Tests for supervised execution: watchdog, rlimit, fault classification."""
+"""Tests for supervised execution: watchdog, rlimit, fault classification,
+and the long-lived workers of a :class:`WorkerPool`."""
 
 import os
 import signal
+import sys
+import threading
 import time
 
 import pytest
@@ -12,8 +15,11 @@ from repro.batch.supervise import (
     FAULT_OOM,
     FAULT_TIMEOUT,
     FaultRecord,
+    WorkerPool,
     run_supervised,
 )
+from repro.batch.transport import LocalPoolTransport, WorkItem
+from tests.helpers import wait_dead
 
 # -- module-level worker functions (pickled by name into children) ---------
 
@@ -43,6 +49,25 @@ def _sleep_forever(_):
 
 
 def _allocate_3gb(_):
+    return len(bytearray(3 << 30))
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def _pid_and(payload):
+    return os.getpid(), payload
+
+
+def _pid_item(payload, attempt):
+    return os.getpid()
+
+
+def _allocate_3gb_in(pid):
+    """The balloon, but only in the worker that already served ``pid``."""
+    if os.getpid() != pid:
+        raise RuntimeError("the balloon ran in a fresh worker")
     return len(bytearray(3 << 30))
 
 
@@ -114,6 +139,107 @@ class TestMemoryLimit:
     def test_modest_work_fits_under_the_limit(self):
         result, fault = run_supervised(_double, 5, memory_limit=8 << 30)
         assert result == 10 and fault is None
+
+
+#: each fault kind: (worker, payload, run_supervised keyword arguments)
+FAULTS = {
+    "error": (_raise_value_error, None, {}),
+    "oom-memoryerror": (_raise_memory_error, None, {}),
+    "sigkill": (_die_by_signal, signal.SIGKILL, {}),
+    "other-signal": (_die_by_signal, signal.SIGABRT, {}),
+    "silent-exit": (_exit_silently, 7, {}),
+    "timeout": (_sleep_forever, None, {"wall_limit": 0.5}),
+}
+
+
+class TestWorkerPool:
+    def test_clean_calls_reuse_one_worker(self):
+        with WorkerPool() as pool:
+            first, fault1 = run_supervised(_pid, None, pool=pool)
+            second, fault2 = run_supervised(_pid, None, pool=pool)
+            assert fault1 is None and fault2 is None
+            assert first == second != os.getpid()
+            assert pool.started == 1
+
+    @pytest.mark.parametrize("kind", sorted(FAULTS))
+    def test_fault_retires_the_worker(self, kind):
+        fn, payload, kwargs = FAULTS[kind]
+        with WorkerPool() as pool:
+            before, _ = run_supervised(_pid, None, pool=pool)
+            _, fault = run_supervised(fn, payload, pool=pool, **kwargs)
+            assert fault is not None
+            after, fault = run_supervised(_pid, None, pool=pool)
+            assert fault is None and after != before
+            assert pool.started == 2
+
+    def test_idle_worker_killed_outside_is_not_charged(self):
+        with LocalPoolTransport(supervised=True, retries=0) as transport:
+            (first,) = transport.execute([WorkItem("a", _pid_item, None)])
+            os.kill(first.value, signal.SIGKILL)
+            wait_dead(first.value)
+            (res,) = transport.execute([WorkItem("b", _pid_item, None)])
+            assert res.fault is None and res.attempts == 1
+            assert res.value != first.value
+            assert transport.pool.started == 2
+
+    def test_rlimit_holds_in_a_reused_worker(self):
+        with WorkerPool(memory_limit=2 << 30) as pool:
+            pid, fault = run_supervised(_pid, None, pool=pool)
+            assert fault is None
+            _, fault = run_supervised(
+                _allocate_3gb_in, pid, wall_limit=30.0, pool=pool
+            )
+            assert fault is not None and fault.kind == FAULT_OOM
+
+    def test_close_reaps_idle_workers_and_pool_stays_usable(self):
+        pool = WorkerPool()
+        pid, _ = run_supervised(_pid, None, pool=pool)
+        pool.close()
+        wait_dead(pid, timeout=1.0)
+        again, fault = run_supervised(_pid, None, pool=pool)
+        assert fault is None and again != pid
+        pool.close()
+
+    def test_concurrent_callers_share_the_pool_safely(self):
+        """More callers than cores, fast thread switches: no worker is
+        handed to two callers, and none is started without being used."""
+        results = []
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with WorkerPool() as pool:
+
+                def caller(base):
+                    for i in range(base, base + 8):
+                        results.append((i, run_supervised(_pid_and, i, pool=pool)))
+
+                threads = [
+                    threading.Thread(target=caller, args=(8 * k,)) for k in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert all(fault is None for _, (_, fault) in results)
+                # each caller got the answer to its own job
+                assert sorted(i for i, _ in results) == list(range(48))
+                assert all(i == echo for i, ((_, echo), _) in results)
+                pids = {pid for _, ((pid, _), _) in results}
+                assert len(pids) == pool.started <= 6
+        finally:
+            sys.setswitchinterval(old)
+
+    def test_pool_limit_conflict_is_refused(self):
+        with WorkerPool(memory_limit=2 << 30) as pool:
+            with pytest.raises(ValueError, match="memory_limit"):
+                run_supervised(_pid, None, memory_limit=1 << 30, pool=pool)
+
+    def test_unpicklable_job_is_an_error_fault(self):
+        with WorkerPool() as pool:
+            result, fault = run_supervised(_double, lambda: None, pool=pool)
+            assert result is None and fault.kind == FAULT_ERROR
+            assert pool.started == 0
 
 
 class TestFaultRecord:

@@ -1,10 +1,12 @@
 """Tests for the execution-transport seam (``repro.batch.transport``)."""
 
+import multiprocessing
 import os
 
 import pytest
 
 from repro.batch import (
+    ChaosConfig,
     LocalPoolTransport,
     Transport,
     WorkItem,
@@ -12,6 +14,7 @@ from repro.batch import (
     cells_for_matrix,
     run_batch,
 )
+from repro.batch import executor
 from repro.batch.supervise import FAULT_ERROR
 from repro.batch.transport import backoff_delay
 from repro.generator.random_systems import GeneratorConfig, generate_instances
@@ -133,6 +136,15 @@ class TestSupervisedPath:
         assert not res.ok
         assert res.fault.attempts == 2 and res.attempts == 2
 
+    def test_close_reaps_the_idle_workers(self):
+        before = set(multiprocessing.active_children())
+        items = [WorkItem(f"k{i}", _double, i) for i in range(6)]
+        with LocalPoolTransport(jobs=2, supervised=True) as transport:
+            assert len(list(transport.execute(items))) == len(items)
+            assert 1 <= transport.pool.started <= 2
+            assert set(multiprocessing.active_children()) - before
+        assert set(multiprocessing.active_children()) <= before
+
 
 class TestPoolPath:
     def test_pool_success(self):
@@ -187,6 +199,39 @@ class TestRunBatchSeam:
         assert all(it.wall_limit == 5.0 for it in transport.items)
         # the injected transport's results are what the campaign recorded
         assert {r.status for r in report.records} <= {"feasible", "infeasible"}
+
+    def test_passed_transport_keeps_its_workers_across_batches(self):
+        instances = generate_instances(
+            GeneratorConfig(n=3, m=2, tmax=3), 3, seed=11
+        )
+        first = cells_for_matrix(instances[:2], ["csp2+dc"], 5.0)
+        second = cells_for_matrix(instances[2:], ["csp2+dc"], 5.0)
+        with LocalPoolTransport(supervised=True) as transport:
+            run_batch(first, transport=transport)
+            run_batch(second, transport=transport)
+            assert transport.pool.started == 1
+
+    def test_run_batch_closes_the_transport_it_built(self, monkeypatch):
+        built = []
+
+        class Recording(LocalPoolTransport):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(executor, "LocalPoolTransport", Recording)
+        instances = generate_instances(
+            GeneratorConfig(n=3, m=2, tmax=3), 3, seed=11
+        )
+        cells = cells_for_matrix(instances, ["csp2+dc", "csp2"], 5.0)
+        before = set(multiprocessing.active_children())
+        # chaos that injects nothing still forces supervision
+        report = run_batch(cells, chaos=ChaosConfig(rate=0.0))
+        assert report.computed == len(cells) and report.faults == 0
+        (transport,) = built
+        # one worker served every cell of the batch, then was reaped
+        assert transport.pool.started == 1
+        assert set(multiprocessing.active_children()) <= before
 
     def test_work_result_ok_property(self):
         assert WorkResult(key="k", value=1).ok
