@@ -1,8 +1,9 @@
 #!/bin/sh
 # Minimal CI: contract lint first (fastest, most specific), then the
 # docstring guard, registry-docs drift guard, kernel parity, the
-# difftest/chaos/serve smokes, the perfbench self-tests and one checked
-# perfbench pass, and the tier-1 test suite.
+# difftest/chaos/serve smokes, the perfbench self-tests and two checked
+# perfbench passes (service-stream, screen-campaign), and the tier-1 test
+# suite.
 # Usage: sh scripts/ci.sh   (from the repo root; no install required)
 set -eu
 cd "$(dirname "$0")/.."
@@ -51,6 +52,9 @@ python -m pytest -q perfbench/tests
 
 echo "== perfbench: one service-stream pass through a supervised daemon, every answer checked =="
 python perfbench/run.py --workload service-stream --seed 1 --seconds 1 --trace 0
+
+echo "== perfbench: one screen-campaign pass, every cascade verdict re-checked against edf-exact =="
+python perfbench/run.py --workload screen-campaign --seed 1 --seconds 1 --trace 0
 
 echo "== tier-1: full test suite =="
 python -m pytest -x -q

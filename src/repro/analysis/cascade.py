@@ -59,9 +59,13 @@ def default_tests(
 ) -> "list[CascadeTest]":
     """The standard test order: cheapest-per-decision first.
 
-    O(n) arithmetic bounds open, the (work-gated) simulation witnesses
-    follow — on the paper's generator grid they decide the bulk of the
-    feasible instances at ~2 ms apiece — and the quadratic interval
+    O(n) arithmetic bounds open, the (work-gated) witnesses follow — the
+    ``m = 1`` EDF simulation, the first-fit partition (its bins settled
+    by processor-demand arithmetic after Baruah, Rosier & Howell, with
+    only asynchronous bins failing the synchronous criterion simulated)
+    and the global-EDF simulation; on the paper's generator grid they
+    decide the bulk of the feasible instances at under 1 ms apiece —
+    and the quadratic interval
     arguments close, mopping up infeasible instances the utilization
     filter missed.  ``simulate=False`` drops the simulation tier
     entirely for a pure closed-form screen.

@@ -14,12 +14,19 @@ argument, or by exhibiting one cyclic hyperperiod outright:
   can also return INFEASIBLE);
 * ``sufficient:partitioned-ff`` — a first-fit-decreasing partition whose
   bins are each exactly uniprocessor-EDF-feasible (Chen & Bansal-style
-  packing); a partitioned schedule is trivially a global one;
+  packing); a partitioned schedule is trivially a global one.  A bin is
+  decided by three exact arguments before any simulation: utilization
+  above 1 rejects, the synchronous processor-demand criterion
+  (``dbf(t) <= t`` up to the synchronous busy period) accepts because the
+  synchronous pattern is the worst case (Baruah, Rosier & Howell 1990),
+  and with all offsets equal its failure rejects.  Only an asynchronous
+  bin that fails the criterion runs the uniprocessor EDF simulation;
 * ``sufficient:edf-sim`` — the hyperperiod simulation witness: run the
   exact global-EDF simulator (periodicity detection makes the verdict a
   proof) and hand back the produced cyclic schedule.
 
-Simulation-backed tests are gated by a work estimate
+Simulation-backed tests (partitioned-ff included, since its
+asynchronous bins may simulate) are gated by a work estimate
 (``hyperperiod x n x m``) so the cascade stays polynomial-time in
 practice: past ``state_limit`` they abstain instead of simulating.
 

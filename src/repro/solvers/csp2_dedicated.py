@@ -34,9 +34,13 @@ idle rule is dropped (idling can beat running on a slow processor, so the
 exchange argument fails), and symmetry rule (13) applies within maximal
 groups of identical processors only.
 
-All per-slot state (active window, remaining slots) is computed in O(1)
-from the task parameters; remaining demands live in a sparse dict — so an
-n=256, T=360360 Table IV instance costs memory proportional to the slots
+Per-slot state (each task's active window and its remaining slots) is a
+pure function of ``(task, slot)``, computed in O(1) from the task
+parameters and kept in a lazily filled per-slot window table, so a node
+reads its slot's active windows instead of recomputing them for every
+task.  The table is cleared whenever it outgrows ``_WINDOW_CACHE_CELLS``
+entries, and remaining demands live in a sparse dict — so an n=256,
+T=360360 Table IV instance costs memory proportional to the slots
 actually *visited*, not to ``sum_i T/T_i`` windows.
 """
 
@@ -55,6 +59,11 @@ from repro.solvers.registry import EXACT, PROVES_INFEASIBILITY, register_solver
 from repro.util.timer import Deadline
 
 __all__ = ["Csp2DedicatedSolver"]
+
+#: window-table size (task entries, ~128 bytes each) past which the table
+#: is cleared; bounds its memory to ~8 MB on long hyperperiods with many
+#: tasks (a Table IV instance has n = 256, T = 360360)
+_WINDOW_CACHE_CELLS = 1 << 16
 
 
 class _Frame:
@@ -127,6 +136,10 @@ class Csp2DedicatedSolver:
         for pos, i in enumerate(order):
             self._rank[i] = pos
         self._rates = platform.rate_matrix(n)
+        self._rate_rows: list[list[int]] = self._rates.tolist()
+        #: slot -> (row, keys), see :meth:`_windows`
+        self._window_cache: dict[int, tuple[tuple, tuple]] = {}
+        self._window_cache_slots = max(1, _WINDOW_CACHE_CELLS // max(1, n))
         self._max_rate = [int(r) for r in self._rates.max(axis=1)]
         #: loose per-slot platform capacity for the energetic check
         self._slot_capacity = int(self._rates.max(axis=0).sum())
@@ -175,6 +188,29 @@ class Csp2DedicatedSolver:
                 count += tail_end - slot
         return count
 
+    def _windows(self, t: int) -> tuple[tuple, tuple]:
+        """Window table of slot ``t``: ``(row, keys)``, filled on first use.
+
+        ``row`` lists ``(i, (i, job), left)`` for every task ``i`` with an
+        active window at ``t``, ascending ``i``, where ``left`` is
+        :meth:`_slots_left` at ``t``; ``keys[i]`` is ``(i, job)``, or None
+        for a task with no active window.
+        """
+        entry = self._window_cache.get(t)
+        if entry is None:
+            cache = self._window_cache
+            if len(cache) >= self._window_cache_slots:
+                cache.clear()
+            row = []
+            keys: list = [None] * self.system.n
+            for i in range(self.system.n):
+                job = self._active_job(i, t)
+                if job is not None:
+                    key = keys[i] = (i, job)
+                    row.append((i, key, self._slots_left(i, job, t)))
+            entry = cache[t] = (tuple(row), tuple(keys))
+        return entry
+
     # -- public API -----------------------------------------------------------
     def solve(
         self, time_limit: float | None = None, node_limit: int | None = None
@@ -209,14 +245,10 @@ class Csp2DedicatedSolver:
         required: list[int] = []
         optional: list[int] = []
         wcet = self._wcet
-        for i in range(self.system.n):
-            job = self._active_job(i, t)
-            if job is None:
-                continue
-            rem = dem.get((i, job), wcet[i])
+        for i, key, left in self._windows(t)[0]:  # left includes slot t
+            rem = dem.get(key, wcet[i])
             if rem == 0:
                 continue
-            left = self._slots_left(i, job, t)  # includes slot t
             if self.demand_pruning:
                 if rem > left:
                     return None
@@ -297,9 +329,9 @@ class Csp2DedicatedSolver:
             if len(frames) > stats.max_depth:
                 stats.max_depth = len(frames)
             undo = []
+            keys = self._windows(f.t)[1]
             for i in choice:
-                job = self._active_job(i, f.t)
-                key = (i, job)
+                key = keys[i]
                 rem = dem.get(key, wcet[i])
                 undo.append((key, rem))
                 dem[key] = rem - 1
@@ -340,18 +372,15 @@ class Csp2DedicatedSolver:
         """Ordered values for processor ``j`` at slot ``t`` (idle == n)."""
         n = self.system.n
         wcet = self._wcet
-        rates = self._rates
+        rates = self._rate_rows
         cands = []
-        for i in range(n):
+        for i, key, _left in self._windows(t)[0]:
             if i in running:
                 continue
-            rate = int(rates[i, j])
+            rate = rates[i][j]
             if rate == 0:
                 continue
-            job = self._active_job(i, t)
-            if job is None:
-                continue
-            rem = dem.get((i, job), wcet[i])
+            rem = dem.get(key, wcet[i])
             if rem == 0 or rate > rem:  # exactness: never overshoot
                 continue
             cands.append(i)
@@ -369,26 +398,15 @@ class Csp2DedicatedSolver:
     def _slot_entry_ok(self, t: int, dem: dict) -> bool:
         """Pruning checks when the search reaches the start of slot ``t``."""
         wcet = self._wcet
-        max_rate = self._max_rate
-        for i in range(self.system.n):
-            job = self._active_job(i, t)
-            # window that ended at t-1 must be exactly complete
-            if t > 0:
-                prev_job = self._active_job(i, t - 1)
-                if (
-                    prev_job is not None
-                    and self._slots_left(i, prev_job, t - 1) == 1
-                    and dem.get((i, prev_job), wcet[i]) != 0
-                ):
+        if t > 0:
+            # windows that ended at t-1 must be exactly complete
+            for i, key, left in self._windows(t - 1)[0]:
+                if left == 1 and dem.get(key, wcet[i]) != 0:
                     return False
-            if job is None:
-                continue
-            rem = dem.get((i, job), wcet[i])
-            if rem == 0:
-                continue
-            if self.demand_pruning:
-                left = self._slots_left(i, job, t)
-                if rem > left * max_rate[i]:
+        if self.demand_pruning:
+            max_rate = self._max_rate
+            for i, key, left in self._windows(t)[0]:
+                if dem.get(key, wcet[i]) > left * max_rate[i]:
                     return False
         return True
 
@@ -398,7 +416,7 @@ class Csp2DedicatedSolver:
         n = self.system.n
         dem: dict[tuple[int, int], int] = {}
         wcet = self._wcet
-        rates = self._rates
+        rates = self._rate_rows
         proc_order = self._proc_order
         frames: list[_Frame] = []
         total_rem = self.system.total_demand()
@@ -449,11 +467,10 @@ class Csp2DedicatedSolver:
             f.chosen = val
             f.applied = []
             if val < n:
-                job = self._active_job(val, f.t)
-                key = (val, job)
+                key = self._windows(f.t)[1][val]
                 rem = dem.get(key, wcet[val])
                 f.applied.append((key, rem))
-                rate = int(rates[val, f.j])
+                rate = rates[val][f.j]
                 dem[key] = rem - rate
                 total_rem -= rate
             # advance to the next processor, or the next slot
@@ -481,14 +498,8 @@ class Csp2DedicatedSolver:
         with per-window accounting this means all demand is met.
         """
         wcet = self._wcet
-        t = self._T - 1
-        for i in range(self.system.n):
-            job = self._active_job(i, t)
-            if (
-                job is not None
-                and self._slots_left(i, job, t) == 1
-                and dem.get((i, job), wcet[i]) != 0
-            ):
+        for i, key, left in self._windows(self._T - 1)[0]:
+            if left == 1 and dem.get(key, wcet[i]) != 0:
                 return False
         return True
 

@@ -1,5 +1,7 @@
 """White-box unit tests for the dedicated CSP2 solver's internals."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +42,55 @@ class TestWindowHelpers:
         for i in range(system.n):
             for t in range(system.hyperperiod):
                 assert solver._active_job(i, t) == system.active_job(i, t)
+
+
+class TestWindowTable:
+    """The cached per-slot window table equals the O(1) helpers."""
+
+    @staticmethod
+    def _check_table(solver):
+        n = solver.system.n
+        for t in range(solver._T):
+            row, keys = solver._windows(t)
+            expected = []
+            for i in range(n):
+                job = solver._active_job(i, t)
+                assert keys[i] == (None if job is None else (i, job))
+                if job is not None:
+                    expected.append((i, (i, job), solver._slots_left(i, job, t)))
+            assert list(row) == expected, t
+            assert solver._windows(t) is solver._windows(t)  # cached
+
+    def test_running_example_wraps(self):
+        # tau2 = (1, 3, 4, 4): its third window [9..12] wraps to slot 0
+        self._check_table(make_solver(running_example()))
+
+    def test_random_systems_with_wrapping_windows(self):
+        rng = random.Random(15)
+        wrapped = 0
+        for _ in range(40):
+            tasks = []
+            for _ in range(rng.randint(1, 5)):
+                period = rng.choice([2, 3, 4, 6])
+                deadline = rng.randint(1, period)
+                tasks.append(Task(rng.randint(0, 2 * period),
+                                  rng.randint(0, deadline), deadline, period))
+            system = TaskSystem(tasks)
+            solver = make_solver(system)
+            # the last window of a task wraps iff phase + D > period
+            wrapped += any(t.phase + t.deadline > t.period for t in system)
+            self._check_table(solver)
+        assert wrapped > 0  # some windows cross the hyperperiod boundary
+
+    def test_table_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.solvers.csp2_dedicated._WINDOW_CACHE_CELLS", 6
+        )
+        solver = make_solver(running_example())  # n = 3: two slots kept
+        for t in range(solver._T):
+            solver._windows(t)
+            assert len(solver._window_cache) <= 2
+        self._check_table(solver)
 
 
 class TestSlotCandidates:

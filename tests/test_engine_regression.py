@@ -8,10 +8,15 @@ Propagation *counts* are deliberately not pinned — the whole point of
 the refactor is to run fewer/cheaper propagator executions — but the
 fixpoints reached (and therefore every branching decision) must match.
 
-The expected values below were captured from the pre-refactor engine at
-commit "PR 2" with the exact seeds/limits used here.  If a future PR
-changes them on purpose (e.g. a stronger propagator), re-capture and
-say so in the PR: a silent diff here means the engine's decisions moved.
+The generic-engine values below were captured from the pre-refactor
+engine at commit "PR 2" with the exact seeds/limits used here.  The
+dedicated chronological solver (``csp2``, ``csp2+dc``) is pinned on the
+same grid plus one uniform-platform cell (its per-processor search
+path) and two three-processor cells where it backtracks (one of them
+budget-limited); those values were captured before its per-slot window
+table replaced the per-node window arithmetic.  If a future change moves
+them on purpose (e.g. a stronger propagator), re-capture and say so: a silent
+diff here means the engine's decisions moved.
 """
 
 import pytest
@@ -26,6 +31,10 @@ SEED = 2009
 
 #: instance grid: None = the paper's running example, else (n, tmax, m, seed)
 SPECS = [None, (4, 4, 2, 11), (4, 4, 2, 12), (5, 4, 2, 23), (5, 5, 2, 31)]
+
+#: uniform-platform cell: (n, tmax, m, seed, speeds) — the generated system
+#: on ``Platform.uniform(speeds)`` instead of ``m`` identical processors
+UNIFORM_SPEC = (5, 5, 2, 31, (2, 1, 1))
 
 #: (solver, spec) -> (status, nodes, fails) on the pre-refactor engine
 EXPECTED = {
@@ -44,14 +53,31 @@ EXPECTED = {
     ("csp2-generic+dc", (4, 4, 2, 12)): ("feasible", 12, 5),
     ("csp2-generic+dc", (5, 4, 2, 23)): ("feasible", 1224, 886),
     ("csp2-generic+dc", (5, 5, 2, 31)): ("infeasible", 31, 26),
+    ("csp2", None): ("feasible", 12, 0),
+    ("csp2", (4, 4, 2, 11)): ("infeasible", 3, 0),
+    ("csp2", (4, 4, 2, 12)): ("feasible", 4, 0),
+    ("csp2", (5, 4, 2, 23)): ("feasible", 12, 0),
+    ("csp2", (5, 5, 2, 31)): ("infeasible", 2, 0),
+    ("csp2+dc", None): ("feasible", 12, 0),
+    ("csp2+dc", (4, 4, 2, 11)): ("infeasible", 3, 0),
+    ("csp2+dc", (4, 4, 2, 12)): ("feasible", 4, 0),
+    ("csp2+dc", (5, 4, 2, 23)): ("feasible", 12, 0),
+    ("csp2+dc", (5, 5, 2, 31)): ("infeasible", 2, 0),
+    ("csp2", (6, 5, 3, 15)): ("unknown", 20004, 0),
+    ("csp2", (6, 5, 3, 17)): ("infeasible", 438, 0),
+    ("csp2+dc", (6, 5, 3, 15)): ("unknown", 20005, 0),
+    ("csp2+dc", (6, 5, 3, 17)): ("infeasible", 438, 0),
+    ("csp2+dc", UNIFORM_SPEC): ("feasible", 3331, 1676),
 }
 
 
 def _instance(spec):
     if spec is None:
         return running_example(), running_example_platform()
-    n, tmax, m, seed = spec
+    n, tmax, m, seed, *speeds = spec
     inst = generate_instance(GeneratorConfig(n=n, tmax=tmax, m=m), seed)
+    if speeds:
+        return inst.system, Platform.uniform(speeds[0])
     return inst.system, Platform.identical(inst.m)
 
 
